@@ -8,12 +8,12 @@
 // paper's design point — is that length 2 captures nearly all the accuracy
 // of unbounded maxflow at a fraction of the cost, while length 1 (direct
 // experience only) loses accuracy.
-#include <chrono>
 #include <cstdio>
 
 #include "analysis/experiment.hpp"
 #include "community/simulator.hpp"
 #include "figure_common.hpp"
+#include "stopwatch.hpp"
 #include "trace/generator.hpp"
 
 using namespace bc;
@@ -40,14 +40,10 @@ Result run_mode(bartercast::MaxflowMode mode, int max_path_edges) {
   cfg.node.reputation.max_path_edges = max_path_edges;
   cfg.reputation_probe_interval = 4.0 * kHour;
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement around the run; never feeds simulation state
-  const auto start = std::chrono::steady_clock::now();
+  const bench::Stopwatch watch;
   community::CommunitySimulator sim(trace::generate(tcfg), cfg);
   sim.run();
-  const double wall =
-      // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double wall = watch.elapsed_s();
   return Result{analysis::contribution_correlation(sim.metrics()),
                 analysis::contribution_rank_correlation(sim.metrics()),
                 wall};

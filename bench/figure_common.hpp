@@ -72,7 +72,13 @@ inline void init_observability() {
   const bool trace = std::getenv("BC_TRACE_OUT") != nullptr;
   if (profile || trace) bc::obs::Profiler::instance().set_enabled(true);
   if (trace) bc::obs::Tracer::instance().set_enabled(true);
-  if (profile || trace) std::atexit(dump_observability);
+  if (profile || trace) {
+    // The handler reads the registry. A function-local static constructed
+    // after std::atexit is destroyed before the handler runs, so build it
+    // first.
+    bc::obs::Registry::instance();
+    std::atexit(dump_observability);
+  }
 }
 
 inline bc::trace::GeneratorConfig paper_trace(std::uint64_t seed) {

@@ -17,7 +17,6 @@
 // bench observability env vars (BC_PROFILE / BC_METRICS_OUT / BC_TRACE_OUT)
 // are honoured via figure_common.hpp.
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include "graph/maxflow.hpp"
 #include "graph/reference_graph.hpp"
 #include "obs/export.hpp"
+#include "stopwatch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -38,14 +38,6 @@
 using namespace bc;
 
 namespace {
-
-// bc-analyze: allow(D2) -- benchmark wall-time helper; timings are reported, never fed back into simulation state
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             // bc-analyze: allow(D2) -- benchmark wall-time helper; never feeds simulation state
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 constexpr PeerId kOpPeers = 400;
 constexpr std::size_t kAdds = 60000;
@@ -77,46 +69,38 @@ std::vector<double> run_ops(G& g, TwoHopFn flow, ScanFn scan) {
   };
   Bytes sink = 0;
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  auto t0 = std::chrono::steady_clock::now();
+  bench::Stopwatch watch;
   for (std::size_t i = 0; i < kAdds; ++i) {
     const PeerId u = pick(), v = pick();
     if (u != v) g.add_capacity(u, v, rng.uniform_int(1, kMiB));
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kAdds));
+  ns.push_back(watch.elapsed_ns() / static_cast<double>(kAdds));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  watch.restart();
   for (std::size_t i = 0; i < kSets; ++i) {
     const PeerId u = pick(), v = pick();
     if (u != v) g.set_capacity(u, v, rng.uniform_int(1, kMiB));
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kSets));
+  ns.push_back(watch.elapsed_ns() / static_cast<double>(kSets));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  watch.restart();
   for (std::size_t i = 0; i < kQueries; ++i) {
-    // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
     sink += g.capacity(pick(), pick());
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kQueries));
+  ns.push_back(watch.elapsed_ns() / static_cast<double>(kQueries));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  watch.restart();
   for (std::size_t i = 0; i < kScans; ++i) {
-    // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
     sink += scan(g, pick());
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kScans));
+  ns.push_back(watch.elapsed_ns() / static_cast<double>(kScans));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  watch.restart();
   for (std::size_t i = 0; i < kTwoHops; ++i) {
     const PeerId s = pick(), t = pick();
-    // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
     if (s != t) sink += flow(g, s, t);
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kTwoHops));
+  ns.push_back(watch.elapsed_ns() / static_cast<double>(kTwoHops));
 
   if (sink == Bytes{0} - 1) std::printf("impossible\n");  // keep sink alive
   return ns;
@@ -132,7 +116,6 @@ std::vector<OpRow> run_op_section(std::string& json) {
       },
       [](const graph::FlowGraph& g, PeerId p) {
         Bytes acc = 0;
-        // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
         for (const graph::Edge& e : g.out_edges(p)) acc += e.cap;
         return acc;
       });
@@ -143,7 +126,6 @@ std::vector<OpRow> run_op_section(std::string& json) {
       },
       [](const graph::ReferenceFlowGraph& g, PeerId p) {
         Bytes acc = 0;
-        // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
         for (const auto& [_, cap] : g.out_edges(p)) acc += cap;
         return acc;
       });
@@ -216,8 +198,7 @@ SweepResult run_sweep(bool incremental) {
   Bytes claim = 2 * kGiB;  // above the seeded range so merges always apply
   double checksum = 0.0;
   std::uint64_t cold_evals = 0;
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::Stopwatch watch;
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (std::size_t m = 0; m < kMutationsPerRound; ++m) {
       const auto u =
@@ -239,7 +220,7 @@ SweepResult run_sweep(bool incremental) {
       }
     }
   }
-  const double ms = ms_since(t0);
+  const double ms = watch.elapsed_ms();
   return {ms, checksum, incremental ? cache.misses() : cold_evals};
 }
 

@@ -85,7 +85,6 @@ void BM_ReputationColdCache(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         engine.reputation(evaluator.view().graph(), evaluator.id(), next));
-    // bc-analyze: allow(V2) -- population is the benchmark Arg (100/1000/10000), never zero
     next = 100 + (next - 100 + 1) % static_cast<PeerId>(population);
   }
 }

@@ -72,7 +72,6 @@ void BM_EdgeUpsert(benchmark::State& state) {
   for (auto _ : state) {
     const auto a = static_cast<PeerId>(rng.index(n));
     auto b = static_cast<PeerId>(rng.index(n));
-    // bc-analyze: allow(V2) -- n is the benchmark Arg (node count), never zero
     if (a == b) b = (b + 1) % static_cast<PeerId>(n);
     g.add_capacity(a, b, 1000);
   }

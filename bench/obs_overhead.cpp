@@ -22,7 +22,6 @@
 // Results go to BENCH_obs.json (override with BC_BENCH_OUT). Exit code 1
 // when a disabled path exceeds the budget, so CI can gate on it.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +31,8 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace_writer.hpp"
+#include "stopwatch.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 
 using namespace bc;
@@ -57,20 +58,13 @@ double ns_per_op(Body&& body) {
   double best = 1e300;
   for (int r = 0; r < kRepeats; ++r) {
     std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-    // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds
-    // simulation state
-    const auto t0 = std::chrono::steady_clock::now();
+    const bench::Stopwatch watch;
     for (std::size_t i = 0; i < kIters; ++i) {
       x = xorshift(x);
       body(x);
       keep(x);
     }
-    // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds
-    // simulation state
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        static_cast<double>(kIters);
+    const double ns = watch.elapsed_ns() / static_cast<double>(kIters);
     best = std::min(best, ns);
   }
   return best;

@@ -13,7 +13,6 @@
 // result is bit-identical to serial and reports the speedup, writing the
 // numbers to BENCH_parallel.json (override the path with BC_BENCH_OUT).
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +20,7 @@
 
 #include "bartercast/node.hpp"
 #include "obs/export.hpp"
+#include "stopwatch.hpp"
 #include "util/assert.hpp"
 #include "util/concurrency/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -30,14 +30,6 @@ using namespace bc;
 using namespace bc::bartercast;
 
 namespace {
-
-// bc-analyze: allow(D2) -- benchmark wall-time helper; timings are reported, never fed back into simulation state
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             // bc-analyze: allow(D2) -- benchmark wall-time helper; never feeds simulation state
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 struct Row {
   std::size_t peers;
@@ -61,8 +53,7 @@ Row run_scale(std::size_t population, std::uint64_t seed) {
   }
 
   // One BarterCast message from every peer in the population.
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::Stopwatch ingest;
   for (std::size_t i = 0; i < population; ++i) {
     const auto sender = static_cast<PeerId>(1000 + i);
     BarterCastMessage msg;
@@ -80,11 +71,10 @@ Row run_scale(std::size_t population, std::uint64_t seed) {
     }
     evaluator.receive_message(msg);
   }
-  const double ingest_ms = ms_since(t0);
+  const double ingest_ms = ingest.elapsed_ms();
 
   // Cold reputation evaluations across distinct subjects.
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  const auto t1 = std::chrono::steady_clock::now();
+  const bench::Stopwatch eval;
   const std::size_t evals = 2000;
   double sink = 0.0;
   ReputationEngine engine;
@@ -92,9 +82,9 @@ Row run_scale(std::size_t population, std::uint64_t seed) {
     const auto subject = static_cast<PeerId>(1000 + (i * 37) % population);
     sink += engine.reputation(evaluator.view().graph(), 0, subject);
   }
-  const double eval_us = ms_since(t1) * 1000.0 / static_cast<double>(evals);
-  // bc-analyze: allow(B2) -- dead-code-elimination guard comparing against a sentinel no reputation sum can produce; not a real comparison
-  if (sink == -1e300) std::printf("impossible\n");  // keep `sink` alive
+  const double eval_us =
+      eval.elapsed_ms() * 1000.0 / static_cast<double>(evals);
+  if (sink < -1e300) std::printf("impossible\n");  // keep `sink` alive
 
   return Row{population, ingest_ms, eval_us,
              evaluator.view().graph().num_nodes(),
@@ -154,8 +144,7 @@ void run_threads_sweep() {
   bool first = true;
   for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
     util::ThreadPool pool(threads);
-    // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-    const auto t0 = std::chrono::steady_clock::now();
+    const bench::Stopwatch watch;
     std::vector<double> out(evals, 0.0);
     pool.parallel_for(evals, [&](std::size_t i) {
       const auto subject = static_cast<PeerId>(1000 + (i * 37) % population);
@@ -163,7 +152,7 @@ void run_threads_sweep() {
     });
     double sum = 0.0;
     for (const double v : out) sum += v;  // serial merge, index order
-    const double ms = ms_since(t0);
+    const double ms = watch.elapsed_ms();
     const auto bits = std::bit_cast<std::uint64_t>(sum);
     if (threads == 1) {
       base_ms = ms;

@@ -61,11 +61,8 @@ int main() {
       caught += points[i].freerider ? 1u : 0u;
     }
     const double kd = static_cast<double>(k);
-    // bc-analyze: allow(V2,V3) -- caught <= k <= 20, exact small counts; k is drawn from {5,10,15,20}, never zero
     const double precision = static_cast<double>(caught) / kd;
-    // bc-analyze: allow(V3) -- total_freeriders <= points.size(): a small exact count, fits double exactly
     const double fr = static_cast<double>(total_freeriders);
-    // bc-analyze: allow(V2,V3) -- caught is a small exact count; the scenario always seeds freeriders, so fr > 0
     const double recall = static_cast<double>(caught) / fr;
     q.add_row({std::to_string(k), std::to_string(caught), fmt(precision, 2),
                fmt(recall, 2)});

@@ -7,6 +7,7 @@
 //   2. Round-trip: decoding the re-encoded bytes succeeds and yields a
 //      message equal field-for-field to the first decode.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -36,8 +37,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   require(again.has_value());
   require(again->sender == msg->sender);
   // Exact bit equality is the contract here: the timestamp travels through
-  // memcpy, never arithmetic (NaN is rejected at decode, so == is sound).
-  require(again->sent_at == msg->sent_at);
+  // memcpy, never arithmetic.
+  require(std::bit_cast<std::uint64_t>(again->sent_at) ==
+          std::bit_cast<std::uint64_t>(msg->sent_at));
   require(again->records == msg->records);
   return 0;
 }

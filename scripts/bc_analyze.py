@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""bc-analyze CLI: BarterCast determinism & byte-accounting analyzer.
+"""bc-analyze CLI: the BarterCast project-invariant analyzer.
 
 Usage:
-  scripts/bc_analyze.py [paths...] [--build-dir DIR] [--frontend F]
-                        [--github] [--list-rules]
+  scripts/bc_analyze.py [paths...] [--github] [--list-rules] [--version]
 
 Exit status: 0 clean, 1 findings, 2 usage/infrastructure error.
 See scripts/bc_analyze/__init__.py and DESIGN.md section 9 for the rule

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from bc_analyze.source import IDENT_RE, SourceFile, match_paren
+from bc_analyze.source import SourceFile, match_open, match_paren
 
 # Keywords that look like calls (`while (...)`) or precede bodies.
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch"}
@@ -120,19 +120,6 @@ def _word_before(code: str, idx: int) -> tuple[str, int]:
     return code[k:j], k
 
 
-def _matching_open(code: str, close_idx: int, opener: str, closer: str) -> int:
-    depth = 0
-    for i in range(close_idx, -1, -1):
-        c = code[i]
-        if c == closer:
-            depth += 1
-        elif c == opener:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
 def _decl_head(code: str, brace_idx: int) -> str:
     """The declaration text owning the `{` at brace_idx: everything after
     the previous statement/brace boundary."""
@@ -205,7 +192,7 @@ def _classify_brace(code: str, i: int) -> tuple[str, str, int]:
         guard += 1
         c = code[j]
         if c == ")":
-            p = _matching_open(code, j, "(", ")")
+            p = match_open(code, j, "(", ")")
             if p <= 0:
                 return ("block", "", i)
             word, ws = _word_before(code, p)
@@ -242,7 +229,7 @@ def _classify_brace(code: str, i: int) -> tuple[str, str, int]:
             return ("fn", named[0], named[1])
         if c == "}":
             # Brace-init member in a ctor list: `..., c_{y} {`.
-            q = _matching_open(code, j, "{", "}")
+            q = match_open(code, j, "{", "}")
             if q <= 0:
                 return ("block", "", i)
             word, ws = _word_before(code, q)
@@ -516,12 +503,6 @@ class Program:
         exact = [f for f in cands
                  if f.qualname == suffix or f.qualname.endswith("::" + suffix)]
         return exact or cands
-
-    def function_at(self, rel: str, offset: int) -> FunctionDef | None:
-        for fn in self.functions:
-            if fn.rel == rel and fn.start <= offset <= fn.end:
-                return fn
-        return None
 
     def function_at_line(self, rel: str, line: int) -> FunctionDef | None:
         for fn in self.functions:

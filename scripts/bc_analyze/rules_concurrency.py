@@ -1,23 +1,19 @@
-"""Concurrency rules C1-C3.
+"""Lock-discipline rule C2.
 
 The tree's entire concurrency surface is bc::util (src/util/concurrency/):
 an annotated Mutex/LockGuard/CondVar family, relaxed atomic counters, and a
-deterministic ThreadPool. Everything else must build on those wrappers —
-they carry the Clang thread-safety capability annotations, so only code
-routed through them is covered by -Werror=thread-safety.
+deterministic ThreadPool. Clang's -Wthread-safety checks the members that
+carry a BC_GUARDED_BY annotation; it cannot see a member that is missing
+one. C2 closes that gap.
 
-C1 raw-primitive: no std::mutex / std::thread / std::atomic /
-   std::condition_variable (or friends: locks, semaphores, futures)
-   outside src/util/concurrency/. Raw primitives are invisible to the
-   thread-safety analysis and to the C2 guard check.
 C2 unguarded-shared-member: a class that owns a bc::util::Mutex is a class
    whose state is shared across threads; every mutable data member it
    declares must say which lock protects it (BC_GUARDED_BY /
    BC_PT_GUARDED_BY) or be a concurrency primitive that is safe by itself
    (Mutex, CondVar, ThreadPool, RelaxedCounter, RelaxedBool).
-C3 detached-execution: no `.detach()` and no std::async. Detached threads
-   outlive scope-based reasoning (and TSan's happens-before graph); fire-
-   and-forget work goes through the pool, whose destructor joins.
+
+The raw-primitive (C1) and detached-execution (C3) greps live in
+scripts/check_conventions.py.
 """
 
 from __future__ import annotations
@@ -26,38 +22,6 @@ import re
 
 from bc_analyze.model import Finding
 from bc_analyze.source import SourceFile, match_paren
-
-# --- C1 ---------------------------------------------------------------------
-
-RAW_PRIMITIVE_RE = re.compile(
-    r"\bstd::(?:mutex|recursive_mutex|recursive_timed_mutex|timed_mutex"
-    r"|shared_mutex|shared_timed_mutex"
-    r"|lock_guard|scoped_lock|unique_lock|shared_lock"
-    r"|thread|jthread"
-    r"|atomic(?:_[a-z0-9_]+)?"
-    r"|condition_variable(?:_any)?"
-    r"|counting_semaphore|binary_semaphore|barrier|latch"
-    r"|call_once|once_flag"
-    r"|promise|future|shared_future|packaged_task)\b"
-)
-
-
-def check_c1(sf: SourceFile) -> list[Finding]:
-    out = []
-    for lineno, code in enumerate(sf.code_lines, start=1):
-        for m in RAW_PRIMITIVE_RE.finditer(code):
-            out.append(Finding(
-                rule="C1", slug="raw-primitive", path=sf.rel, line=lineno,
-                message=(f"raw concurrency primitive `{m.group(0)}` outside"
-                         " src/util/concurrency/: use bc::util::Mutex/"
-                         "LockGuard/CondVar/ThreadPool/RelaxedCounter — only"
-                         " the annotated wrappers are covered by the Clang"
-                         " thread-safety analysis"),
-            ))
-    return out
-
-
-# --- C2 ---------------------------------------------------------------------
 
 CLASS_RE = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)[^;{()]*\{")
 OWNS_MUTEX_RE = re.compile(r"\b(?:bc::)?(?:util::)?Mutex\s+[A-Za-z_]\w*_\b")
@@ -148,26 +112,5 @@ def check_c2(sf: SourceFile) -> list[Finding]:
                          " threads, so every mutable member must name the"
                          " lock that protects it (or carry a reasoned"
                          " suppression proving it is single-threaded)"),
-            ))
-    return out
-
-
-# --- C3 ---------------------------------------------------------------------
-
-DETACH_RE = re.compile(r"\.\s*detach\s*\(|\bstd::async\b")
-
-
-def check_c3(sf: SourceFile) -> list[Finding]:
-    out = []
-    for lineno, code in enumerate(sf.code_lines, start=1):
-        for m in DETACH_RE.finditer(code):
-            out.append(Finding(
-                rule="C3", slug="detached-execution", path=sf.rel,
-                line=lineno,
-                message=(f"detached execution `{m.group(0).strip()}`:"
-                         " threads that outlive their scope escape both the"
-                         " thread-safety analysis and deterministic"
-                         " teardown; run the work on bc::util::ThreadPool,"
-                         " whose destructor joins"),
             ))
     return out

@@ -28,7 +28,6 @@ import re
 
 from bc_analyze.callgraph import FunctionDef, Program
 from bc_analyze.dataflow import (
-    Reach,
     chain_of,
     reach_chain,
     taint_callers,

@@ -2,10 +2,7 @@
 
 This is deliberately a *heuristic* frontend: it scrubs comments and string
 literals, then recognizes the declaration and expression shapes that
-actually occur in this tree (clang-format-ed, convention-checked code). The
-clang AST frontend (clang_frontend.py) supersedes it for type-accurate D1
-when a clang able to dump JSON ASTs is installed; everything else — and
-every machine without clang — runs on this model.
+actually occur in this tree (clang-format-ed, convention-checked code).
 """
 
 from __future__ import annotations
@@ -130,24 +127,6 @@ ORDERED_CONTAINER_RE = re.compile(
 #: graph::EdgeView wraps a span over the sorted adjacency arrays.
 ORDERED_PLAIN_RE = re.compile(r"\b(?:graph\s*::\s*)?(EdgeView)\b")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
-FLOAT_DECL_RE = re.compile(
-    r"(?:^|[(,;{]|\s)(?:const\s+)?(?:double|float|Seconds|Rate)\s+(&?\s*[A-Za-z_]\w*)"
-)
-BYTES_DECL_RE = re.compile(
-    r"(?:^|[(,;{]|\s)(?:const\s+)?Bytes\s+(&?\s*[A-Za-z_]\w*)"
-)
-INT_DECL_RE = re.compile(
-    r"(?:^|[(,;{]|\s)(?:const\s+)?"
-    r"(?:int|long|bool|char|unsigned(?:\s+\w+)?|short"
-    r"|std::size_t|size_t|std::u?int(?:8|16|32|64)_t|u?int(?:8|16|32|64)_t"
-    r"|std::ptrdiff_t"
-    r"|PeerId|UserId|SwarmId|EventId|PeerPair)"
-    r"\s+(&?\s*[A-Za-z_]\w*)"
-)
-FLOAT_LITERAL_RE = re.compile(
-    r"(?<![\w.])(?:\d+\.\d*|\.\d+|\d+\.?\d*[eE][-+]?\d+|\d+\.?\d*[fF]\b)"
-)
-
 SUPPRESS_RE = re.compile(
     r"bc-analyze:\s*allow\s*\(([^)]*)\)\s*(?:--\s*(.*\S))?\s*$"
 )
@@ -168,9 +147,6 @@ class SourceFile:
     unordered_element_containers: set[str] = field(default_factory=set)
     ordered_vars: set[str] = field(default_factory=set)  # deterministic kinds
     ordered_fns: set[str] = field(default_factory=set)
-    float_vars: set[str] = field(default_factory=set)
-    bytes_vars: set[str] = field(default_factory=set)
-    int_vars: set[str] = field(default_factory=set)
     # joined scrubbed code with line lookup
     code: str = ""
     _line_starts: list[int] = field(default_factory=list)
@@ -270,13 +246,6 @@ def _scan_declarations(sf: SourceFile) -> None:
             sf.ordered_vars.add(named[1])
         elif named and named[0] == "fn":
             sf.ordered_fns.add(named[1])
-    for line in sf.code_lines:
-        for m in FLOAT_DECL_RE.finditer(line):
-            sf.float_vars.add(m.group(1).lstrip("& "))
-        for m in BYTES_DECL_RE.finditer(line):
-            sf.bytes_vars.add(m.group(1).lstrip("& "))
-        for m in INT_DECL_RE.finditer(line):
-            sf.int_vars.add(m.group(1).lstrip("& "))
 
 
 def _decl_name_after(code: str, idx: int):
@@ -341,12 +310,12 @@ def final_identifier(expr: str) -> str | None:
         expr = expr[1:].strip()
     while expr and expr.endswith(")") and not IDENT_RE.fullmatch(expr):
         # strip one balanced trailing (...) group, remembering it was a call
-        open_idx = _matching_open(expr, len(expr) - 1, "(", ")")
+        open_idx = match_open(expr, len(expr) - 1, "(", ")")
         if open_idx <= 0:
             break
         expr = expr[:open_idx].rstrip()
     while expr.endswith("]"):
-        open_idx = _matching_open(expr, len(expr) - 1, "[", "]")
+        open_idx = match_open(expr, len(expr) - 1, "[", "]")
         if open_idx <= 0:
             break
         expr = expr[:open_idx].rstrip()
@@ -354,7 +323,7 @@ def final_identifier(expr: str) -> str | None:
     return ids[-1] if ids else None
 
 
-def _matching_open(text: str, close_idx: int, opener: str, closer: str) -> int:
+def match_open(text: str, close_idx: int, opener: str, closer: str) -> int:
     depth = 0
     for i in range(close_idx, -1, -1):
         c = text[i]

@@ -13,6 +13,18 @@ Enforces the conventions clang-tidy cannot express:
   include-style    project headers are included as "module/file.hpp" (quoted,
                    rooted at src/), never <module/file.hpp> or "../relative"
   using-namespace  no using-namespace directives in headers
+  raw-primitive    (C1) no std::mutex/std::thread/std::atomic/
+                   std::condition_variable (or their lock/semaphore/future
+                   relatives): only the annotated bc::util wrappers in
+                   src/util/concurrency/ are covered by Clang's thread-safety
+                   analysis
+  detached-execution
+                   (C3) no `.detach()` and no std::async: detached work
+                   escapes deterministic teardown; use bc::util::ThreadPool,
+                   whose destructor joins
+
+raw-primitive and detached-execution apply to src/ (outside
+src/util/concurrency/), bench/ and examples/; tests may use raw threads.
 
 Usage: scripts/check_conventions.py [paths...]   (default: src tests bench examples)
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -27,6 +39,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATHS = ["src", "tests", "bench", "examples"]
 
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+from bc_analyze.source import scrub_line  # noqa: E402
+
 # Top-level project include roots (directories under src/).
 PROJECT_MODULES = sorted(
     p.name for p in (REPO_ROOT / "src").iterdir() if p.is_dir()
@@ -37,88 +52,51 @@ LIBC_RAND_RE = re.compile(r"std::s?rand\b|(?<![\w:.])s?rand\s*\(")
 BC_ASSERT_USE_RE = re.compile(r"\bBC_D?ASSERT(?:_MSG)?\s*\(")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"])([^">]+)[">]')
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\s+")
+RAW_PRIMITIVE_RE = re.compile(
+    r"\bstd::(?:mutex|recursive_mutex|recursive_timed_mutex|timed_mutex"
+    r"|shared_mutex|shared_timed_mutex"
+    r"|lock_guard|scoped_lock|unique_lock|shared_lock"
+    r"|thread|jthread"
+    r"|atomic(?:_[a-z0-9_]+)?"
+    r"|condition_variable(?:_any)?"
+    r"|counting_semaphore|binary_semaphore|barrier|latch"
+    r"|call_once|once_flag"
+    r"|promise|future|shared_future|packaged_task)\b"
+)
+DETACH_RE = re.compile(r"\.\s*detach\s*\(|\bstd::async\b")
 
-# Files allowed to break specific rules.
+# Path prefixes allowed to break specific rules.
 EXEMPT = {
-    "raw-assert": {"src/util/assert.hpp"},
-    "assert-include": {"src/util/assert.hpp"},
+    "raw-assert": ("src/util/assert.hpp",),
+    "assert-include": ("src/util/assert.hpp",),
     # bc-analyze's intentionally-bad fixture exercises rule D3 with libc
     # rand(); it is analyzer test data, never compiled into the project.
-    "libc-rand": {"tests/analysis_tool/fixtures/bad/d3_random.cpp"},
+    "libc-rand": ("tests/analysis_tool/fixtures/bad/d3_random.cpp",),
+    "raw-primitive": ("src/util/concurrency/",),
+}
+# Rules that apply only under these path prefixes.
+SCOPE = {
+    "raw-primitive": ("src/", "bench/", "examples/"),
+    "detached-execution": ("src/", "bench/", "examples/"),
 }
 
 
-def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
-    """Blanks out string/char literals, // and /* */ comment content.
-
-    Keeps column positions stable so reported text stays recognizable.
-    Returns the scrubbed line and whether a block comment continues.
-    """
-    out = []
-    i = 0
-    n = len(line)
-    state = "block" if in_block else "code"
-    while i < n:
-        c = line[i]
-        nxt = line[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                break  # rest of line is a comment
-            if c == "/" and nxt == "*":
-                state = "block"
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                out.append(c)
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append(c)
-                i += 1
-                continue
-            out.append(c)
-            i += 1
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                state = "code"
-                i += 2
-            else:
-                i += 1
-        elif state == "string":
-            if c == "\\":
-                i += 2
-                continue
-            if c == '"':
-                state = "code"
-                out.append(c)
-            i += 1
-        elif state == "char":
-            if c == "\\":
-                i += 2
-                continue
-            if c == "'":
-                state = "code"
-                out.append(c)
-            i += 1
-    return "".join(out), state == "block"
-
-
 class Checker:
-    def __init__(self) -> None:
+    def __init__(self, root: Path) -> None:
+        self.root = root
         self.findings: list[str] = []
 
-    @staticmethod
-    def rel(path: Path) -> Path:
+    def rel(self, path: Path) -> str:
         try:
-            return path.relative_to(REPO_ROOT)
+            return path.resolve().relative_to(self.root.resolve()).as_posix()
         except ValueError:
-            return path
+            return path.as_posix()
 
     def fail(self, rule: str, path: Path, lineno: int, message: str) -> None:
         rel = self.rel(path)
-        if str(rel) in EXEMPT.get(rule, set()):
+        if rel.startswith(EXEMPT.get(rule, ())):
+            return
+        if rule in SCOPE and not rel.startswith(SCOPE[rule]):
             return
         self.findings.append(f"{rel}:{lineno}: [{rule}] {message}")
 
@@ -130,7 +108,7 @@ class Checker:
         code_lines: list[str] = []
         in_block = False
         for line in raw_lines:
-            code, in_block = strip_comments_and_strings(line, in_block)
+            code, _, in_block = scrub_line(line, in_block)
             code_lines.append(code)
 
         uses_bc_assert = False
@@ -165,6 +143,20 @@ class Checker:
                     "libc-rand", path, lineno,
                     "libc rand/srand breaks seeded determinism; use"
                     ' bc::Rng from "util/rng.hpp"',
+                )
+
+            for m in RAW_PRIMITIVE_RE.finditer(code):
+                self.fail(
+                    "raw-primitive", path, lineno,
+                    f"raw concurrency primitive `{m.group(0)}`; use"
+                    " bc::util::Mutex/LockGuard/CondVar/ThreadPool/"
+                    "RelaxedCounter, which the thread-safety analysis covers",
+                )
+            for m in DETACH_RE.finditer(code):
+                self.fail(
+                    "detached-execution", path, lineno,
+                    f"detached execution `{m.group(0).strip()}`; run the"
+                    " work on bc::util::ThreadPool, whose destructor joins",
                 )
 
             if BC_ASSERT_USE_RE.search(code) and "#define" not in code:
@@ -208,10 +200,10 @@ class Checker:
             )
 
 
-def collect(paths: list[str]) -> list[Path]:
+def collect(root: Path, paths: list[str]) -> list[Path]:
     files: list[Path] = []
     for arg in paths:
-        p = (REPO_ROOT / arg) if not Path(arg).is_absolute() else Path(arg)
+        p = (root / arg) if not Path(arg).is_absolute() else Path(arg)
         if p.is_dir():
             files.extend(sorted(p.rglob("*.hpp")))
             files.extend(sorted(p.rglob("*.cpp")))
@@ -224,9 +216,8 @@ def collect(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
-    paths = argv[1:] or DEFAULT_PATHS
-    files = collect(paths)
-    checker = Checker()
+    files = collect(REPO_ROOT, argv[1:] or DEFAULT_PATHS)
+    checker = Checker(REPO_ROOT)
     for f in files:
         checker.check_file(f)
     for finding in checker.findings:

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Static-analysis runner: clang-tidy (when available) over the whole tree,
-# then the repo-convention checker, then bc-analyze (the project-specific
-# determinism & byte-accounting analyzer). All stages must be clean for the
-# script to exit 0; CI runs this as a gating job.
+# then the repo-convention checker, then bc-analyze (the project-invariant
+# analyzer). All stages must be clean for the script to exit 0; CI runs this
+# as a gating job.
 #
 # Usage:
 #   scripts/lint.sh [--build-dir DIR] [--strict] [paths...]
@@ -96,12 +96,10 @@ if ! python3 scripts/check_conventions.py "${paths[@]}"; then
   status=1
 fi
 
-# --- stage 3: bc-analyze (determinism, bytes, concurrency, dataflow) ----------
+# --- stage 3: bc-analyze (project invariants) ---------------------------------
 # bc-analyze owns its scope (src bench examples): tests/ contains the
 # analyzer's intentionally-bad fixtures, so the lint paths are not forwarded.
-# The incremental cache keeps the clean re-run near-instant; --jobs
-# parallelizes the clang TU stage when that frontend is available.
-if ! python3 scripts/bc_analyze.py --jobs "$(nproc 2> /dev/null || echo 2)"; then
+if ! python3 scripts/bc_analyze.py; then
   status=1
 fi
 

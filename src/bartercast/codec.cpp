@@ -15,9 +15,12 @@ constexpr std::size_t kHeaderSize = 1 + 1 + 4 + 8 + 2;
 constexpr std::size_t kRecordSize = 4 + 4 + 8 + 8;
 
 // Little-endian primitive writers/readers. std::memcpy keeps them free of
-// alignment UB; on little-endian hosts the byte swap compiles away.
+// alignment UB; on little-endian hosts the byte swap compiles away. encode()
+// sizes its buffer once and put() fills it through a cursor, so there is no
+// per-field capacity check (and no vector::insert for GCC 12's -O3
+// -Wstringop-overflow to misjudge).
 template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
+void put(std::uint8_t*& at, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   std::uint8_t bytes[sizeof(T)];
   std::memcpy(bytes, &value, sizeof(T));
@@ -26,7 +29,8 @@ void put(std::vector<std::uint8_t>& out, T value) {
       std::swap(bytes[i], bytes[sizeof(T) - 1 - i]);
     }
   }
-  out.insert(out.end(), bytes, bytes + sizeof(T));
+  std::memcpy(at, bytes, sizeof(T));
+  at += sizeof(T);
 }
 
 template <typename T>
@@ -54,22 +58,21 @@ std::size_t encoded_size(std::size_t records) {
 std::vector<std::uint8_t> encode(const BarterCastMessage& message) {
   BC_ASSERT_MSG(message.records.size() <= kMaxRecords,
                 "message exceeds the protocol record cap");
-  std::vector<std::uint8_t> out;
-  out.reserve(encoded_size(message.records.size()));
-  put<std::uint8_t>(out, kWireMagic);
-  put<std::uint8_t>(out, kWireVersion);
-  put<std::uint32_t>(out, message.sender);
-  put<double>(out, message.sent_at);
-  put<std::uint16_t>(out, static_cast<std::uint16_t>(message.records.size()));
+  std::vector<std::uint8_t> out(encoded_size(message.records.size()));
+  std::uint8_t* at = out.data();
+  put<std::uint8_t>(at, kWireMagic);
+  put<std::uint8_t>(at, kWireVersion);
+  put<std::uint32_t>(at, message.sender);
+  put<double>(at, message.sent_at);
+  put<std::uint16_t>(at, static_cast<std::uint16_t>(message.records.size()));
   for (const BarterRecord& r : message.records) {
     BC_ASSERT(r.subject_to_other >= 0 && r.other_to_subject >= 0);
-    put<std::uint32_t>(out, r.subject);
-    put<std::uint32_t>(out, r.other);
-    // bc-analyze: allow(B1) -- wire format stores amounts as u64; value asserted non-negative above, so the cast is value-preserving
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(r.subject_to_other));
-    // bc-analyze: allow(B1) -- wire format stores amounts as u64; value asserted non-negative above, so the cast is value-preserving
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(r.other_to_subject));
+    put<std::uint32_t>(at, r.subject);
+    put<std::uint32_t>(at, r.other);
+    put<std::uint64_t>(at, static_cast<std::uint64_t>(r.subject_to_other));
+    put<std::uint64_t>(at, static_cast<std::uint64_t>(r.other_to_subject));
   }
+  BC_DASSERT(at == out.data() + out.size());
   return out;
 }
 

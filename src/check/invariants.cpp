@@ -19,7 +19,8 @@ std::string peer_str(PeerId id) {
 }
 
 std::string edge_str(PeerId from, PeerId to) {
-  return "(" + peer_str(from) + " -> " + peer_str(to) + ")";
+  return std::string("(").append(peer_str(from)).append(" -> ")
+      .append(peer_str(to)).append(")");
 }
 
 }  // namespace

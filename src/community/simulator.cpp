@@ -436,7 +436,6 @@ void CommunitySimulator::round() {
         // bc-analyze: allow(P1) -- Swarm::transfer inserts an in-flight marker only when a piece *starts*; steady-state byte movement updates the existing entry in place
         swarms_[l.swarm]->swarm.transfer(l.uploader, l.downloader, budget);
     if (moved <= 0) continue;
-    // bc-analyze: allow(B1) -- metrics counter API takes u64; `moved` is checked positive on the previous line
     bytes_moved.inc(static_cast<std::uint64_t>(moved));
     // bc-analyze: allow(P1) -- FlowGraph::add_capacity allocates only when a previously-unseen edge appears in the ledger; repeat transfers on an edge take the in-place update path
     peer(l.uploader).node->on_bytes_sent(l.downloader, moved, now);

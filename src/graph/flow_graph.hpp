@@ -30,9 +30,9 @@
 /// Debug-build invalidation checking for EdgeView. When on, every view
 /// carries a snapshot of the owning graph's generation counter and every
 /// access asserts the graph has not been structurally mutated since the
-/// view was taken — the dynamic counterpart of bc-analyze rule L2
-/// (invalidated-view). Release builds compile the bookkeeping out entirely;
-/// EdgeView is then layout-identical to std::span<const Edge>.
+/// view was taken: together with ASan, the gate for stale views. Release
+/// builds compile the bookkeeping out entirely; EdgeView is then
+/// layout-identical to std::span<const Edge>.
 #ifndef NDEBUG
 #define BC_GRAPH_GENERATION_CHECKS 1
 #else
@@ -57,8 +57,8 @@ struct Edge {
 /// and validate builds every access BC_DASSERT-checks that the owning
 /// FlowGraph has not been structurally mutated (edge inserted/erased, node
 /// removed, clear()) since the view was taken — holding a view across
-/// add_capacity/set_capacity/remove_node is the classic dangling-span bug
-/// (bc-analyze rule L2), and this makes it fail-stop instead of silent UB.
+/// add_capacity/set_capacity/remove_node is the classic dangling-span bug,
+/// and this makes it fail-stop instead of silent UB.
 class EdgeView {
  public:
   using value_type = Edge;

@@ -66,8 +66,8 @@ std::string metrics_json(const Registry& registry, const Profiler& profiler) {
     out += "    \"" + json_escape(h.name) + "\": {\"buckets\": [";
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "[" + std::to_string(h.buckets[i].first) + ", " +
-             std::to_string(h.buckets[i].second) + "]";
+      out.append("[").append(std::to_string(h.buckets[i].first)).append(", ")
+          .append(std::to_string(h.buckets[i].second)).append("]");
     }
     out += "], \"total\": " + std::to_string(h.total) +
            ", \"sum\": " + format_double(h.sum) +

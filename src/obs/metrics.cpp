@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "util/assert.hpp"
 #include "util/checked.hpp"
 
 namespace bc::obs {

@@ -101,7 +101,8 @@ void MetricsStream::emit_window(const Registry& registry, Seconds t) {
     if (delta == 0) continue;
     line += first ? "" : ",";
     first = false;
-    line += "\"" + json_escape(name) + "\":" + std::to_string(delta);
+    line.append("\"").append(json_escape(name)).append("\":")
+        .append(std::to_string(delta));
   }
 
   line += "},\"gauges\":{";
@@ -109,7 +110,8 @@ void MetricsStream::emit_window(const Registry& registry, Seconds t) {
   for (const auto& [name, value] : cur.gauges) {
     line += first ? "" : ",";
     first = false;
-    line += "\"" + json_escape(name) + "\":" + format_double(value);
+    line.append("\"").append(json_escape(name)).append("\":")
+        .append(format_double(value));
   }
 
   line += "},\"log_histograms\":{";
@@ -129,11 +131,11 @@ void MetricsStream::emit_window(const Registry& registry, Seconds t) {
     if (d.total == 0) continue;
     line += first ? "" : ",";
     first = false;
-    line += "\"" + json_escape(h.name) + "\":{\"buckets\":[";
+    line.append("\"").append(json_escape(h.name)).append("\":{\"buckets\":[");
     for (std::size_t i = 0; i < d.buckets.size(); ++i) {
       if (i > 0) line += ",";
-      line += "[" + std::to_string(d.buckets[i].first) + "," +
-              std::to_string(d.buckets[i].second) + "]";
+      line.append("[").append(std::to_string(d.buckets[i].first)).append(",")
+          .append(std::to_string(d.buckets[i].second)).append("]");
     }
     const double dsum =
         std::ldexp(static_cast<double>(d.sum_units), -d.sum_frac_bits);

@@ -25,7 +25,6 @@ struct FileMeta {
 
   int num_pieces() const {
     BC_ASSERT(piece_size > 0);
-    // bc-analyze: allow(B1) -- piece *count*, not a ledger amount: bounded by size/piece_size, far below 2^31 for any valid trace (validate() rejects piece_size <= 0)
     return static_cast<int>((size + piece_size - 1) / piece_size);
   }
   friend bool operator==(const FileMeta&, const FileMeta&) = default;

@@ -16,8 +16,8 @@
 //
 // All are built on the compiler's __builtin_*_overflow primitives, which
 // compile to a flag test around the plain instruction — cheap enough for
-// the maxflow hot loops. bc-analyze rule V1 treats a conversion to these
-// forms as discharging the overflow proof obligation.
+// the maxflow hot loops. The integer and asan-ubsan sanitizer builds abort on
+// any overflow these helpers do not absorb.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,11 @@
 // Sanctioned relaxed atomics for monotone instrumentation counters.
 //
-// bc-analyze rule C1 keeps raw std::atomic inside src/util/concurrency/;
-// these wrappers expose the two shapes the codebase actually needs —
-// a saturating-free add-only counter and a set-before-threads flag — with
-// memory_order_relaxed baked in. Relaxed is correct here because the values
-// never order other memory: counters are summed/reported after the pool has
-// been joined (a join is a full synchronization point), and flags are
+// check_conventions.py rule C1 keeps raw std::atomic inside
+// src/util/concurrency/; these wrappers expose the two shapes the codebase
+// actually needs — a saturating-free add-only counter and a set-before-threads
+// flag — with memory_order_relaxed baked in. Relaxed is correct here because
+// the values never order other memory: counters are summed/reported after the
+// pool has been joined (a join is a full synchronization point), and flags are
 // written during single-threaded setup.
 //
 // Determinism note: integer addition is commutative and associative, so a

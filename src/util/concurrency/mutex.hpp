@@ -1,10 +1,10 @@
 // Annotated mutual-exclusion primitives: the only sanctioned way to lock.
 //
-// bc-analyze rule C1 bans raw std::mutex / std::condition_variable /
-// std::thread / std::atomic outside this directory, so every lock in the
-// tree is a bc::util::Mutex and therefore visible to Clang's thread-safety
-// analysis (see annotations.hpp). The wrappers add nothing at runtime: all
-// methods are single inline forwards to the std primitives.
+// check_conventions.py rule C1 bans raw std::mutex / std::condition_variable /
+// std::thread / std::atomic outside this directory, so every lock in the tree
+// is a bc::util::Mutex and therefore visible to Clang's thread-safety analysis
+// (see annotations.hpp). The wrappers add nothing at runtime: all methods are
+// single inline forwards to the std primitives.
 //
 // Lock discipline in this codebase is deliberately boring: leaf mutexes
 // only, no nested acquisition, RAII (LockGuard) everywhere, waits through

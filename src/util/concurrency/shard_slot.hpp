@@ -16,7 +16,8 @@
 //
 // Only ThreadPool::parallel_for (and tests) may install a slot; everything
 // else just reads current_shard_slot(). Like the rest of this directory the
-// thread-local lives behind bc-analyze rule C1's fence.
+// thread-local lives behind the raw-primitive (C1) fence of
+// scripts/check_conventions.py.
 #pragma once
 
 #include <cstddef>

@@ -16,9 +16,10 @@
 // ThreadPool(t >= 2) spawns t-1 workers; the calling thread executes chunk 0
 // itself while workers take the rest, so t is the total concurrency.
 //
-// This is the only file in the tree allowed to touch std::thread (bc-analyze
-// rule C1); the queue is guarded by an annotated Mutex so Clang's
-// -Werror=thread-safety proves the locking discipline at compile time.
+// This is the only file in the tree allowed to touch std::thread
+// (check_conventions.py rule C1, raw-primitive); the queue is guarded by an
+// annotated Mutex so Clang's -Werror=thread-safety proves the locking
+// discipline at compile time.
 #pragma once
 
 #include <cstddef>

@@ -1,44 +1,8 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/assert.hpp"
 
 namespace bc {
-
-Histogram::Histogram(double lo, double hi, std::size_t num_bins)
-    : lo_(lo), hi_(hi), counts_(num_bins, 0) {
-  BC_ASSERT(hi > lo);
-  BC_ASSERT(num_bins > 0);
-}
-
-void Histogram::add(double value) {
-  BC_ASSERT(!counts_.empty());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  BC_ASSERT(width > 0.0);
-  double idx = (value - lo_) / width;
-  idx = std::clamp(idx, 0.0, static_cast<double>(counts_.size() - 1));
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  BC_ASSERT(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  BC_ASSERT(bin < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * width;
-}
-
-double Histogram::density(std::size_t bin) const {
-  BC_ASSERT(bin < counts_.size());
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
 
 std::vector<CdfPoint> empirical_cdf(std::span<const double> values) {
   std::vector<double> sorted(values.begin(), values.end());
@@ -47,9 +11,9 @@ std::vector<CdfPoint> empirical_cdf(std::span<const double> values) {
   const std::size_t n = sorted.size();
   for (std::size_t i = 0; i < n; ++i) {
     // Collapse runs of equal values into a single point carrying the
-    // cumulative fraction up to and including the run.
-    // bc-analyze: allow(B2) -- exact equality is the point: only bit-identical sorted duplicates collapse; a tolerance would merge distinct values
-    if (!out.empty() && out.back().value == sorted[i]) {
+    // cumulative fraction up to and including the run. The input is
+    // sorted, so "not below the previous point" means "equal to it".
+    if (!out.empty() && !(out.back().value < sorted[i])) {
       out.back().fraction =
           static_cast<double>(i + 1) / static_cast<double>(n);
     } else {

@@ -1,35 +1,10 @@
-// Histograms and empirical CDFs, used for Figure 4(b)-style outputs.
+// Empirical CDFs, used for Figure 4(b)-style outputs.
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace bc {
-
-/// Fixed-range histogram with uniform bins; out-of-range values clamp into
-/// the boundary bins so total count always equals the number of adds.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t num_bins);
-
-  void add(double value);
-
-  std::size_t num_bins() const { return counts_.size(); }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t count(std::size_t bin) const;
-  std::size_t total() const { return total_; }
-  double bin_center(std::size_t bin) const;
-  /// Fraction of observations in the bin (0 when the histogram is empty).
-  double density(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// One point of an empirical CDF: P(X <= value) = fraction.
 struct CdfPoint {

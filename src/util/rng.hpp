@@ -38,7 +38,6 @@ class Rng {
       std::uint64_t z = x;
       z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
       z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      // bc-analyze: allow(V3) -- s is a 64-bit state word (auto& over state_); the xor-shift finalizer is SplitMix64's full-width mixing step, not a narrowing store
       s = z ^ (z >> 31);
     }
   }
@@ -117,7 +116,6 @@ class Rng {
   template <typename T>
   void shuffle(std::vector<T>& v) {
     for (std::size_t i = v.size(); i > 1; --i) {
-      // bc-analyze: allow(V4) -- i starts at v.size() and only decrements, so i - 1 < v.size() on every iteration; the downward loop's init bound is outside the interval domain
       std::swap(v[i - 1], v[index(i)]);
     }
   }

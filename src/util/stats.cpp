@@ -85,8 +85,8 @@ double pearson(std::span<const double> x, std::span<const double> y) {
     sxx += dx * dx;
     syy += dy * dy;
   }
-  // bc-analyze: allow(B2) -- exact-zero guard before division: only a literally zero variance (constant input) is degenerate
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
+  // Sums of squares: `<= 0` is exactly the zero (constant input) test.
+  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
 }
 
@@ -100,7 +100,8 @@ std::vector<double> ranks(std::span<const double> values) {
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
+    // `order` is ascending, so "not above" means "tied with".
+    while (j + 1 < n && !(values[order[i]] < values[order[j + 1]])) ++j;
     // Average 1-based rank over the tie group [i, j].
     const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
     for (std::size_t k = i; k <= j; ++k) out[order[k]] = avg;
@@ -128,8 +129,7 @@ LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
     sxy += (x[i] - mx) * (y[i] - my);
     sxx += (x[i] - mx) * (x[i] - mx);
   }
-  // bc-analyze: allow(B2) -- exact-zero guard before division: only a literally zero variance (constant input) is degenerate
-  if (sxx == 0.0) return fit;
+  if (sxx <= 0.0) return fit;  // sum of squares: exactly zero, constant x
   fit.slope = sxy / sxx;
   fit.intercept = my - fit.slope * mx;
   return fit;

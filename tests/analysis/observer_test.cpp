@@ -87,8 +87,9 @@ TEST(Observer, NetContributionSignCorrelatesWithReputation) {
   for (PeerId i = 0; i < pop.num_peers; ++i) {
     const double r = result.reputations[i];
     const Bytes net = result.net_contribution[i];
-    if (r == 0.0 || net == 0) continue;
-    if ((r > 0) == (net > 0)) {
+    const bool r_positive = r > 0.0;
+    if (!(r_positive || r < 0.0) || net == 0) continue;
+    if (r_positive == (net > 0)) {
       ++consistent;
     } else {
       ++inconsistent;

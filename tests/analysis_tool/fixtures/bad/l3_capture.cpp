@@ -1,35 +1,20 @@
-// L3 fixture: lambdas handed to *storing* callback sinks (the callback
-// outlives the calling frame) must not capture frame locals by reference
-// or views by value. Expected findings are hard-coded in
+// L3 fixture: a lambda handed to an Engine::schedule_* call is stored and
+// runs after the scheduling frame is gone, so it must not capture by
+// reference. Expected findings are hard-coded in
 // tests/analysis_tool/test_bc_analyze.py; keep line numbers stable.
 #include <functional>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 namespace sim {
 
 class Engine {
  public:
-  void schedule_after(double delay, std::function<void()> fn) {
-    (void)delay;
-    pending_.push_back(std::move(fn));
-  }
-
- private:
-  std::vector<std::function<void()>> pending_;
+  void schedule_after(double delay, std::function<void()> fn);
 };
 
 void arm_counters(Engine& engine) {
   long sent = 0;
-  engine.schedule_after(1.0, [&] { ++sent; });         // line 26: L3
-  engine.schedule_after(2.0, [&sent] { sent += 2; });  // line 27: L3
-}
-
-void arm_view(Engine& engine, const std::vector<std::string>& names) {
-  std::string_view first = names.front();
-  engine.schedule_after(3.0, [first] { (void)first; });  // line 32: L3
+  engine.schedule_after(1.0, [&] { ++sent; });               // line 16: L3
+  engine.schedule_after(2.0, [n = 2, &sent] { sent += n; });  // line 17: L3
 }
 
 }  // namespace sim

@@ -1,29 +1,13 @@
 // bc-analyze fixture: deterministic code that must produce zero findings.
 #include <cstdint>
 #include <map>
-#include <vector>
 
 using Bytes = std::int64_t;
-
-constexpr Bytes kMaxTransfer = 1073741824;  // 1 GiB per ledger record
 
 std::map<int, Bytes> ledger;  // ordered: iteration is deterministic
 
 Bytes total() {
   Bytes s = 0;
-  for (const auto& [peer, amount] : ledger) {
-    if (amount < 0 || amount > kMaxTransfer) continue;  // bounds the addend
-    s += amount;
-  }
+  for (const auto& [peer, amount] : ledger) s += amount;
   return s;
-}
-
-bool better(double a, double b) {
-  if (a > b) return true;
-  if (a < b) return false;
-  return false;
-}
-
-std::int64_t keep_width(Bytes amount) {
-  return static_cast<std::int64_t>(amount);  // same width: not narrowing
 }

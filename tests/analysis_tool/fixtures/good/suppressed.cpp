@@ -1,4 +1,5 @@
 // bc-analyze fixture: well-formed suppressions silence their target line.
+#include <chrono>
 #include <unordered_map>
 
 std::unordered_map<int, int> table;
@@ -10,7 +11,7 @@ int total() {
   return s;
 }
 
-bool equal_scores(double a, double b) {
-  // bc-analyze: allow(B2) -- fixture: exact equality intended
-  return a == b;
+auto display_time() {
+  // bc-analyze: allow(D2) -- fixture: wall-clock display only, never in sim state
+  return std::chrono::system_clock::now();
 }

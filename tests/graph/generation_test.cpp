@@ -1,8 +1,8 @@
 // Tests for the FlowGraph structural-generation counter and the EdgeView
-// invalidation guard — the dynamic counterpart of bc-analyze rule L2
-// (invalidated-view). Debug builds must fail stop on a stale view; release
-// builds must pay nothing for the guard (EdgeView is layout-identical to
-// std::span<const Edge>, checked at compile time).
+// invalidation guard, the gate for stale views next to ASan. Debug builds must
+// fail stop on a stale view; release builds must pay nothing for the guard
+// (EdgeView is layout-identical to std::span<const Edge>, checked at compile
+// time).
 #include <cstdint>
 #include <span>
 
@@ -63,9 +63,8 @@ TEST(GenerationTest, ViewsStayValidAcrossContentUpdates) {
 #ifndef NDEBUG
 TEST(GenerationDeathTest, StaleViewAbortsInDebugBuilds) {
   // The injected dangling-span bug: hold out_edges() across a structural
-  // mutation, then touch the view. Statically this is an L2 finding;
-  // dynamically the generation snapshot no longer matches and the next
-  // access must abort.
+  // mutation, then touch the view. The generation snapshot no longer
+  // matches, so the next access must abort.
   FlowGraph g;
   g.add_capacity(1, 2, 10);
   EXPECT_DEATH(

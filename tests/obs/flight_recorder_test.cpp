@@ -10,6 +10,12 @@
 namespace bc::obs {
 namespace {
 
+// "e<i>", appended rather than `"e" + std::to_string(i)`: GCC 12 at -O3
+// raises a false -Wrestrict on `literal + std::string&&`.
+std::string event_name(int i) {
+  return std::string("e").append(std::to_string(i));
+}
+
 // Golden eviction order: a capacity-4 ring fed 6 events keeps the newest
 // 4, and chronological() resolves the wrap-around back to time order.
 TEST(FlightRecorder, RingEvictsOldestInOrder) {
@@ -17,7 +23,7 @@ TEST(FlightRecorder, RingEvictsOldestInOrder) {
   t.set_ring_capacity(4);
   t.set_enabled(true);
   for (int i = 0; i < 6; ++i) {
-    t.instant("e" + std::to_string(i), "test", static_cast<double>(i));
+    t.instant(event_name(i), "test", static_cast<double>(i));
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped_events(), 2u);
@@ -50,14 +56,13 @@ TEST(FlightRecorder, UnboundedBufferKeepsEverythingChronological) {
   Tracer t;
   t.set_enabled(true);
   for (int i = 0; i < 8; ++i) {
-    t.instant("e" + std::to_string(i), "test", static_cast<double>(i));
+    t.instant(event_name(i), "test", static_cast<double>(i));
   }
   EXPECT_EQ(t.dropped_events(), 0u);
   const std::vector<TraceEvent> chron = t.chronological();
   ASSERT_EQ(chron.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(chron[static_cast<std::size_t>(i)].name,
-              "e" + std::to_string(i));
+    EXPECT_EQ(chron[static_cast<std::size_t>(i)].name, event_name(i));
   }
 }
 

@@ -39,8 +39,9 @@ TEST(ObsRegistry, ReferencesSurviveLaterInsertions) {
   // Insertions on either side of "m" must not invalidate the reference
   // (node-based storage guarantee the call sites rely on).
   for (int i = 0; i < 64; ++i) {
-    r.counter("a" + std::to_string(i));
-    r.counter("z" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    r.counter("a" + n);
+    r.counter("z" + n);
   }
   EXPECT_EQ(m.value(), 7u);
   m.inc();

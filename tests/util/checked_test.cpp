@@ -1,5 +1,5 @@
 // Unit tests for util/checked.hpp — the overflow-policy helpers the
-// Bytes accounting paths (and bc-analyze rule V1) rely on.
+// Bytes accounting paths rely on.
 #include "util/checked.hpp"
 
 #include <gtest/gtest.h>

@@ -7,46 +7,6 @@
 namespace bc {
 namespace {
 
-TEST(Histogram, CountsIntoBins) {
-  Histogram h(0.0, 10.0, 2);
-  h.add(1.0);
-  h.add(2.0);
-  h.add(7.0);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, Density) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  h.add(3.5);
-  EXPECT_DOUBLE_EQ(h.density(1), 0.5);
-  EXPECT_DOUBLE_EQ(h.density(2), 0.0);
-}
-
-TEST(Histogram, EmptyDensityIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.density(0), 0.0);
-}
-
-TEST(Histogram, BinCenters) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-}
-
 TEST(Cdf, EmptyInput) {
   EXPECT_TRUE(empirical_cdf({}).empty());
 }
