@@ -48,12 +48,7 @@ void save_node(const Node& node, std::ostream& os) {
   os << "#bartercast-node," << kPersistenceVersion << ',' << node.id()
      << '\n';
 
-  auto entries = node.history().entries();
-  std::sort(entries.begin(), entries.end(),
-            [](const HistoryEntry& a, const HistoryEntry& b) {
-              return a.peer < b.peer;
-            });
-  for (const auto& e : entries) {
+  for (const auto& e : node.history().entries()) {  // sorted by peer
     os << "#history," << e.peer << ',' << e.uploaded << ',' << e.downloaded
        << ',' << e.last_seen << '\n';
   }

@@ -51,13 +51,18 @@ bool Service::on_datagram(PeerId from, std::span<const std::uint8_t> data,
   BC_OBS_SCOPE("service.on_datagram");
   static obs::Counter& rejected =
       obs::Registry::instance().counter("service.datagrams_rejected");
-  const auto message = decode(data);
+  // The node keeps no history entry for itself and kInvalidPeer names no
+  // one, so a datagram claiming either sender is dropped undecoded.
+  const bool valid_sender = from != node_->id() && from != kInvalidPeer;
+  const auto message =
+      valid_sender ? decode(data) : std::optional<BarterCastMessage>{};
   if (!message.has_value()) {
     ++stats_.messages_rejected;
     rejected.inc();
     BC_LOG_TAG(LogLevel::Debug, "bartercast",
-               "dropped undecodable datagram from peer %u (%zu bytes)", from,
-               data.size());
+               "dropped %s datagram from peer %u (%zu bytes)",
+               valid_sender ? "undecodable" : "wrong-sender",
+               from, data.size());
     return false;
   }
   ++stats_.messages_received;

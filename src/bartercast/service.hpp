@@ -47,7 +47,8 @@ class Service {
     std::uint64_t exchanges_initiated = 0;
     std::uint64_t messages_sent = 0;
     std::uint64_t messages_received = 0;
-    std::uint64_t messages_rejected = 0;  // undecodable datagrams
+    // Undecodable datagrams, and datagrams from our own id or kInvalidPeer.
+    std::uint64_t messages_rejected = 0;
     std::uint64_t records_applied = 0;
     std::uint64_t records_dropped = 0;
   };
@@ -72,10 +73,11 @@ class Service {
   /// was due / no partner was available.
   PeerId on_exchange_tick(Seconds now);
 
-  /// Feeds a received datagram in. Undecodable input is counted and
-  /// dropped; a valid message is merged and — when `reply` is true —
-  /// answered with our own message (the bidirectional exchange).
-  /// Returns true when the datagram decoded.
+  /// Feeds a received datagram in. A datagram whose `from` is our own id
+  /// or kInvalidPeer, or that does not decode, is counted in
+  /// messages_rejected and dropped without a reply. A valid message is
+  /// merged and — when `reply` is true — answered with our own message (the
+  /// bidirectional exchange). Returns true when the datagram was accepted.
   bool on_datagram(PeerId from, std::span<const std::uint8_t> data,
                    Seconds now, bool reply = true);
 

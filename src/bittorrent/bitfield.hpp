@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -42,6 +43,22 @@ class Bitfield {
     ++count_;
     return true;
   }
+
+  /// Clears the piece; returns true if it was set.
+  bool reset(int piece) {
+    BC_ASSERT(piece >= 0 && piece < size_);
+    auto& word = words_[static_cast<std::size_t>(piece) / 64];
+    const std::uint64_t mask = std::uint64_t{1}
+                               << (static_cast<std::size_t>(piece) % 64);
+    if (!(word & mask)) return false;
+    word &= ~mask;
+    --count_;
+    return true;
+  }
+
+  /// The pieces as 64-bit words: piece p is bit p % 64 of word p / 64. Bits
+  /// past size() in the last word are always clear.
+  std::span<const std::uint64_t> words() const { return words_; }
 
   /// True when the other peer has at least one piece this field lacks.
   bool is_interesting(const Bitfield& other) const {

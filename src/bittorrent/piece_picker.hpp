@@ -10,8 +10,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
-#include <unordered_set>
 
 #include "bittorrent/bitfield.hpp"
 #include "util/assert.hpp"
@@ -45,14 +43,16 @@ struct PickRequest {
   const Bitfield* theirs = nullptr;  // uploader's pieces
   const Availability* availability = nullptr;
   /// Pieces the downloader is already fetching on other connections.
-  const std::unordered_set<int>* in_flight = nullptr;
+  const Bitfield* in_flight = nullptr;
   /// Below this piece count the downloader picks uniformly at random
   /// (random-first bootstrap). 4 is the conventional value.
   int random_first_threshold = 4;
 };
 
 /// Returns the chosen piece index, or nullopt when the uploader has nothing
-/// useful (downloader not interested modulo in-flight pieces).
+/// useful (downloader not interested modulo in-flight pieces). Candidates
+/// are visited in ascending piece order, one 64-bit word of
+/// theirs & ~mine & ~in_flight at a time.
 std::optional<int> pick_piece(const PickRequest& request, Rng& rng);
 
 }  // namespace bc::bt

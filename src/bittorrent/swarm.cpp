@@ -12,14 +12,16 @@ Swarm::Swarm(const Torrent& torrent, Rng rng)
 
 void Swarm::add_leecher(PeerId peer) {
   const auto [it, inserted] = members_.try_emplace(
-      peer, Member{Bitfield(torrent_.num_pieces, false), {}, false});
+      peer, Member{Bitfield(torrent_.num_pieces, false),
+                   Bitfield(torrent_.num_pieces), false});
   BC_ASSERT_MSG(inserted, "peer already in swarm");
   availability_.add_bitfield(it->second.have);
 }
 
 void Swarm::add_seeder(PeerId peer) {
   const auto [it, inserted] = members_.try_emplace(
-      peer, Member{Bitfield(torrent_.num_pieces, true), {}, true});
+      peer, Member{Bitfield(torrent_.num_pieces, true),
+                   Bitfield(torrent_.num_pieces), true});
   BC_ASSERT_MSG(inserted, "peer already in swarm");
   availability_.add_bitfield(it->second.have);
 }
@@ -36,7 +38,7 @@ void Swarm::remove_peer(PeerId peer) {
     const PeerId to = static_cast<PeerId>(link_it->first & 0xffffffffu);
     if (from == peer || to == peer) {
       if (link_it->second.piece >= 0 && to != peer) {
-        member(to).in_flight.erase(link_it->second.piece);
+        member(to).in_flight.reset(link_it->second.piece);
       }
       link_it = links_.erase(link_it);
     } else {
@@ -111,7 +113,7 @@ Bytes Swarm::transfer(PeerId uploader, PeerId downloader, Bytes budget) {
       if (!piece.has_value()) break;  // nothing useful on this link
       link.piece = *piece;
       link.piece_progress = 0;
-      down.in_flight.insert(*piece);
+      down.in_flight.set(*piece);
     }
     const Bytes need = torrent_.piece_bytes(link.piece) - link.piece_progress;
     const Bytes chunk = std::min(need, budget);
@@ -122,7 +124,7 @@ Bytes Swarm::transfer(PeerId uploader, PeerId downloader, Bytes budget) {
     consumed = util::checked_add(consumed, chunk);
     budget -= chunk;
     if (link.piece_progress >= torrent_.piece_bytes(link.piece)) {
-      down.in_flight.erase(link.piece);
+      down.in_flight.reset(link.piece);
       const bool fresh = down.have.set(link.piece);
       BC_ASSERT(fresh);
       availability_.add_piece(link.piece);
@@ -134,7 +136,7 @@ Bytes Swarm::transfer(PeerId uploader, PeerId downloader, Bytes budget) {
         for (auto& [key, other] : links_) {
           const PeerId to = static_cast<PeerId>(key & 0xffffffffu);
           if (to == downloader && other.piece >= 0) {
-            down.in_flight.erase(other.piece);
+            down.in_flight.reset(other.piece);
             other.piece = -1;
             other.piece_progress = 0;
           }
@@ -151,7 +153,7 @@ void Swarm::release_link(PeerId uploader, PeerId downloader) {
   auto it = links_.find(link_key(uploader, downloader));
   if (it == links_.end()) return;
   if (it->second.piece >= 0) {
-    member(downloader).in_flight.erase(it->second.piece);
+    member(downloader).in_flight.reset(it->second.piece);
     it->second.piece = -1;
     it->second.piece_progress = 0;
   }
@@ -193,7 +195,7 @@ bool Swarm::check_invariants() const {
       const auto& down = members_.at(to);
       // An in-flight piece must be tracked and not yet owned.
       if (down.have.get(link.piece)) return false;
-      if (!down.in_flight.contains(link.piece)) return false;
+      if (!down.in_flight.get(link.piece)) return false;
       if (link.piece_progress < 0 ||
           link.piece_progress >= torrent_.piece_bytes(link.piece)) {
         return false;

@@ -12,7 +12,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bittorrent/bitfield.hpp"
@@ -79,7 +78,7 @@ class Swarm {
  private:
   struct Member {
     Bitfield have;
-    std::unordered_set<int> in_flight;  // pieces being fetched (any link)
+    Bitfield in_flight;  // pieces being fetched (any link)
     bool completed_fired = false;
   };
 

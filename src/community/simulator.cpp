@@ -433,7 +433,6 @@ void CommunitySimulator::round() {
     if (budget <= 0) continue;
     const TaggedLink& l = links[i];
     const Bytes moved =
-        // bc-analyze: allow(P1) -- Swarm::transfer inserts an in-flight marker only when a piece *starts*; steady-state byte movement updates the existing entry in place
         swarms_[l.swarm]->swarm.transfer(l.uploader, l.downloader, budget);
     if (moved <= 0) continue;
     bytes_moved.inc(static_cast<std::uint64_t>(moved));

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace bc::bartercast {
 namespace {
 
@@ -81,6 +83,29 @@ TEST(Service, RejectsGarbageDatagrams) {
   EXPECT_EQ(pair.a->stats().messages_rejected, 1u);
   EXPECT_EQ(pair.a->stats().messages_received, 0u);
   EXPECT_TRUE(pair.wire.empty());  // no reply to garbage
+}
+
+TEST(Service, RejectsDatagramsFromOwnOrInvalidId) {
+  // A well-formed message claiming our own id (or kInvalidPeer) as sender
+  // is dropped before decoding: marking ourselves seen used to trip the
+  // history's owner assertion and abort the process.
+  Pair pair;
+  pair.b->on_bytes_sent(7, kMiB, 1.0);
+  const auto data = encode(pair.b->node().make_message(1.0));
+  const obs::Counter& rejected =
+      obs::Registry::instance().counter("service.datagrams_rejected");
+  const std::uint64_t before = rejected.value();
+  EXPECT_FALSE(pair.a->on_datagram(pair.a->id(), data, 2.0));
+  EXPECT_FALSE(pair.a->on_datagram(kInvalidPeer, data, 2.0));
+  EXPECT_EQ(pair.a->stats().messages_rejected, 2u);
+  EXPECT_EQ(pair.a->stats().messages_received, 0u);
+  EXPECT_EQ(pair.a->stats().records_applied, 0u);
+  EXPECT_EQ(rejected.value() - before, 2u);
+  EXPECT_EQ(pair.a->node().history().size(), 0u);
+  EXPECT_TRUE(pair.wire.empty());  // no reply
+  // The same bytes from their real sender are accepted.
+  EXPECT_TRUE(pair.a->on_datagram(2, data, 3.0));
+  EXPECT_EQ(pair.a->stats().messages_received, 1u);
 }
 
 TEST(Service, NoReplyWhenDisabled) {
