@@ -17,9 +17,6 @@
 //                          line per sim-hour window) while the run is in
 //                          flight — tail it to watch a paper-scale bench
 // so hot-path attribution of a paper-scale run is one env var away.
-// Execution: BC_THREADS=N runs the batch reputation sweeps on N pool
-// workers (default 1 = serial); any N is bit-identical by the
-// deterministic parallel_for contract, so figures never change with it.
 #pragma once
 
 #include <cstdio>
@@ -96,10 +93,6 @@ inline bc::trace::GeneratorConfig paper_trace(std::uint64_t seed) {
 inline bc::community::ScenarioConfig paper_scenario(std::uint64_t seed) {
   bc::community::ScenarioConfig cfg;
   cfg.seed = seed;
-  if (const char* v = std::getenv("BC_THREADS"); v != nullptr) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n >= 1) cfg.threads = static_cast<std::size_t>(n);
-  }
   if (const char* path = std::getenv("BC_METRICS_STREAM"); path != nullptr) {
     cfg.metrics_stream_path = path;
   }

@@ -4,8 +4,7 @@
 // loop (xorshift64 accumulation — cheap enough that any instrument cost
 // shows, real enough that the compiler cannot delete it):
 //
-//   - Counter::inc() via a per-chunk shard (the parallel-sweep hot path)
-//   - Counter::inc() via the relaxed-atomic fallback (no shards)
+//   - Counter::inc() (a plain add)
 //   - LogHistogram::observe() (frexp bucketing + fixed-point sum)
 //   - BC_OBS_SCOPE with the profiler *disabled* (the default for every run)
 //   - the `if (tracer.enabled())` guard with the tracer *disabled*
@@ -91,14 +90,8 @@ int main() {
 
   const double baseline = ns_per_op([](std::uint64_t) {});
 
-  obs::Counter& atomic_counter = registry.counter("bench.atomic_counter");
-  const double counter_atomic =
-      ns_per_op([&](std::uint64_t) { atomic_counter.inc(); });
-
-  obs::Counter& shard_counter = registry.counter("bench.shard_counter");
-  shard_counter.enable_shards(8);  // slot 0 routes to shard 0: the pool path
-  const double counter_shard =
-      ns_per_op([&](std::uint64_t) { shard_counter.inc(); });
+  obs::Counter& counter = registry.counter("bench.counter");
+  const double counter_inc = ns_per_op([&](std::uint64_t) { counter.inc(); });
 
   obs::LogHistogram& hist =
       registry.log_histogram("bench.values", obs::LogSpec::magnitude());
@@ -107,9 +100,7 @@ int main() {
       [&](std::uint64_t x) { hist.observe(static_cast<double>(x >> 32)); });
   // O(buckets) memory: recording kRepeats * kIters values must not grow it.
   BC_ASSERT(hist.num_buckets() == buckets_before);
-  const std::size_t hist_bytes =
-      hist.num_buckets() * sizeof(std::uint64_t) *
-      (1 + registry.shard_slots());
+  const std::size_t hist_bytes = hist.num_buckets() * sizeof(std::uint64_t);
 
   const double profile_disabled = ns_per_op([&](std::uint64_t) {
     BC_OBS_SCOPE("bench.disabled_scope");
@@ -126,10 +117,7 @@ int main() {
 
   Table t({"path", "ns_per_op", "overhead_ns"});
   t.add_row({"baseline (xorshift64)", fmt3(baseline), "-"});
-  t.add_row({"counter.inc (shard)", fmt3(counter_shard),
-             fmt3(counter_shard - baseline)});
-  t.add_row({"counter.inc (atomic fallback)", fmt3(counter_atomic),
-             fmt3(counter_atomic - baseline)});
+  t.add_row({"counter.inc", fmt3(counter_inc), fmt3(counter_inc - baseline)});
   t.add_row({"log_histogram.observe", fmt3(observe),
              fmt3(observe - baseline)});
   t.add_row({"BC_OBS_SCOPE, profiler off", fmt3(profile_disabled),
@@ -146,8 +134,7 @@ int main() {
   json += "  \"iters\": " + std::to_string(kIters) +
           ", \"repeats\": " + std::to_string(kRepeats) + ",\n";
   json += "  \"baseline_ns\": " + fmt3(baseline) + ",\n";
-  json += "  \"counter_shard_ns\": " + fmt3(counter_shard) + ",\n";
-  json += "  \"counter_atomic_ns\": " + fmt3(counter_atomic) + ",\n";
+  json += "  \"counter_inc_ns\": " + fmt3(counter_inc) + ",\n";
   json += "  \"log_histogram_observe_ns\": " + fmt3(observe) + ",\n";
   json += "  \"profile_scope_disabled_ns\": " + fmt3(profile_disabled) + ",\n";
   json += "  \"tracer_guard_disabled_ns\": " + fmt3(tracer_disabled) + ",\n";

@@ -25,10 +25,6 @@
 //                   it automatically before aborting.
 //   --profile       enable the scoped wall-time profiler and print the
 //                   per-site report (maxflow/gossip/choker attribution).
-//   --threads=N     worker threads for the batch reputation sweeps
-//                   (default 1 = serial). Any N produces byte-identical
-//                   output — the parallel_for is deterministic; see
-//                   src/util/concurrency/thread_pool.hpp.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -56,7 +52,6 @@ int main(int argc, char** argv) {
       {"metrics-stream", "append windowed metric deltas (NDJSON) to this path"},
       {"trace-ring", "flight recorder: keep only the last N trace events"},
       {"profile", "profile hot sites and print the report"},
-      {"threads", "worker threads for the batch reputation sweeps (>= 1)"},
       {"population", "behavior spec, e.g. \"sharer:0.5,lazy:0.3,sybil:0.2\""},
       {"backend", "reputation backend: maxflow (default) or gossip"},
   };
@@ -72,8 +67,8 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags->get("trace-out", "");
   const std::string metrics_stream = flags->get("metrics-stream", "");
   const std::int64_t trace_ring = flags->get_int("trace-ring", 0);
-  if (trace_ring < 0) {
-    std::fprintf(stderr, "error: --trace-ring must be >= 0\n");
+  if (!flags->valid() || trace_ring < 0) {
+    std::fprintf(stderr, "error: --trace-ring must be an integer >= 0\n");
     return 1;
   }
   const bool profile = flags->get_bool("profile", false) ||
@@ -109,12 +104,6 @@ int main(int argc, char** argv) {
   cfg.seed = 7;
   cfg.policy = bartercast::ReputationPolicy::ban(-0.5);
   cfg.series_bin = 2.0 * kHour;
-  const std::int64_t threads = flags->get_int("threads", 1);
-  if (!flags->valid() || threads < 1) {
-    std::fprintf(stderr, "error: --threads must be an integer >= 1\n");
-    return 1;
-  }
-  cfg.threads = static_cast<std::size_t>(threads);
   cfg.metrics_stream_path = metrics_stream;
   cfg.population = flags->get("population", "");
   const std::string backend = flags->get("backend", "maxflow");

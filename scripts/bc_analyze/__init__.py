@@ -21,7 +21,7 @@ Rule catalogue (see DESIGN.md section 9):
                           flows through the seeded bc::Rng
   D4 determinism-taint    interprocedural: no call-graph path from a
                           nondeterminism source (surviving D1/D2/D3
-                          finding, thread id, pointer order/hash) into a
+                          finding, pointer order/hash) into a
                           reputation / gossip / persistence sink
                           (bartercast::, gossip::, max_flow_*, encode*).
                           Calls through src/util/rng, sorted_view and
@@ -36,19 +36,6 @@ Rule catalogue (see DESIGN.md section 9):
                           hot functions, directly or through calls: the
                           maxflow/choker hot paths must not hit the
                           allocator per iteration
-  C2 unguarded-shared-member
-                          a class owning a bc::util::Mutex must annotate
-                          every mutable data member with BC_GUARDED_BY /
-                          BC_PT_GUARDED_BY (or suppress with a reason
-                          proving the member is single-threaded)
-  C4 blocking-under-lock  no blocking or allocating operation while a
-                          bc::util::Mutex is held (LockGuard scope),
-                          directly or through calls; CondVar::wait on the
-                          held mutex is the one sanctioned wait shape
-  C5 lock-order-cycle     no cycles in the cross-function
-                          lock-acquisition-order graph (acquiring B while
-                          holding A, including through calls): opposite-
-                          order acquisition deadlocks
   L3 escaping-capture     no lambda with a `&` capture passed to
                           Engine::schedule_at / schedule_after /
                           schedule_periodic: the engine stores the
@@ -58,8 +45,8 @@ Rule catalogue (see DESIGN.md section 9):
                           or a stale marker whose rule no longer fires on
                           its target line
 
-The C1 (raw-primitive) and C3 (detached-execution) greps live in
-scripts/check_conventions.py.
+The process is single-threaded; the C1 (raw-primitive) grep in
+scripts/check_conventions.py keeps it so.
 
 Suppression syntax, on the offending line or a comment line directly above:
 
@@ -67,7 +54,7 @@ Suppression syntax, on the offending line or a comment line directly above:
   // bc-analyze: allow(D2,P1) -- wall-clock display only, never in sim state
 """
 
-__version__ = "3.0"
+__version__ = "3.1"
 
 RULES = {
     "D1": "unordered-iteration",
@@ -76,9 +63,6 @@ RULES = {
     "D4": "determinism-taint",
     "G1": "dense-index-leak",
     "P1": "hot-path-allocation",
-    "C2": "unguarded-shared-member",
-    "C4": "blocking-under-lock",
-    "C5": "lock-order-cycle",
     "L3": "escaping-capture",
     "SUP": "bad-suppression",
 }
@@ -89,14 +73,9 @@ RULE_EXEMPT_PREFIXES = {
     "D1": ("src/util/sorted_view.hpp",),
     "D2": ("src/obs/", "src/util/logging.hpp", "src/util/logging.cpp"),
     "D3": ("src/util/rng.hpp", "src/util/rng.cpp"),
-    # D4 exemptions apply to its *extra* source scans (thread id, pointer
-    # order) and to sink files; the D1-D3-derived sources already honor
-    # those rules' own exemptions.
-    "D4": ("src/obs/", "src/util/logging.hpp", "src/util/logging.cpp",
-           "src/util/concurrency/"),
+    # D4 exemptions apply to its *extra* source scan (pointer order) and to
+    # sink files; the D1-D3-derived sources already honor those rules' own
+    # exemptions.
+    "D4": ("src/obs/", "src/util/logging.hpp", "src/util/logging.cpp"),
     "G1": ("src/graph/",),
-    # src/obs/: the registry/profiler lock scopes guard cold registration
-    # and snapshot export only; the hot-path counters (Counter::inc) are
-    # lock-free by design.
-    "C4": ("src/util/concurrency/", "src/obs/"),
 }

@@ -5,14 +5,11 @@ frontend's scrubbed-code model (source.py): a brace-tracking scanner walks
 each file once and recovers
 
   * function definitions with namespace/class-qualified names and body
-    extents (lambda bodies are attributed to their enclosing function but
-    their ranges are recorded, because code inside a lambda does not run
-    at the point where the lambda is written),
+    extents (lambda bodies are attributed to their enclosing function),
   * call sites (free, qualified and member calls) resolved against the
     program-wide symbol index by qualified-name suffix, and
-  * a CFG-lite per function: loop-body ranges (so rules can ask for the
-    loop nesting depth of any offset) and Mutex lock regions (a LockGuard
-    declaration holds its lock until the end of the enclosing brace scope).
+  * a CFG-lite per function: loop-body ranges, so rules can ask for the
+    loop nesting depth of any offset.
 
 Like the rest of the token frontend it is heuristic by design: it
 recognizes the shapes that occur in this clang-format-ed tree and errs
@@ -51,24 +48,10 @@ CALL_RE = re.compile(r"(?<![\w.:>])((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)"
 MEMBER_CALL_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
 MACRO_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
-LOCK_GUARD_RE = re.compile(
-    r"\b(?:bc::)?(?:util::)?LockGuard\s+[A-Za-z_]\w*\s*[({]")
-LOCK_CALL_RE = re.compile(r"\b([A-Za-z_][\w.\->]*)\s*\.\s*lock\s*\(\s*\)")
 
 #: Root namespaces that can never name project code: a call written
 #: `std::to_string(...)` must not fall back to a project `to_string`.
 FOREIGN_NAMESPACES = frozenset({"std", "boost", "absl", "fmt", "testing"})
-
-
-@dataclass
-class LockRegion:
-    """One held-lock extent: from the acquisition to the end of its scope."""
-
-    mutex: str  # normalized mutex expression, e.g. "mu_" or "batch.mu"
-    key: str  # program-wide identity, e.g. "obs::Registry::mu_"
-    start: int  # offset into SourceFile.code just past the acquisition
-    end: int  # offset of the closing `}` of the enclosing scope
-    acquire_offset: int  # offset of the acquisition itself
 
 
 @dataclass
@@ -82,10 +65,7 @@ class FunctionDef:
     end: int  # offset of the matching `}`
     start_line: int = 0
     end_line: int = 0
-    class_qual: str = ""  # enclosing namespace+class prefix, "" at top level
-    lambda_ranges: list[tuple[int, int]] = field(default_factory=list)
     loop_ranges: list[tuple[int, int]] = field(default_factory=list)
-    lock_regions: list[LockRegion] = field(default_factory=list)
     calls: list[tuple[str, int]] = field(default_factory=list)  # (name, off)
 
     def body(self, code: str) -> str:
@@ -93,19 +73,6 @@ class FunctionDef:
 
     def loop_depth_at(self, offset: int) -> int:
         return sum(1 for lo, hi in self.loop_ranges if lo <= offset < hi)
-
-    def in_lambda(self, offset: int) -> bool:
-        return any(lo <= offset < hi for lo, hi in self.lambda_ranges)
-
-    def lambda_spans_differ(self, a: int, b: int) -> bool:
-        """True when a lambda boundary separates offsets a and b: code at
-        `b` textually inside a region started at `a` does not actually run
-        there when a lambda intervenes (it runs when the lambda is
-        invoked)."""
-        for lo, hi in self.lambda_ranges:
-            if (lo <= a < hi) != (lo <= b < hi):
-                return True
-        return False
 
 
 def _word_before(code: str, idx: int) -> tuple[str, int]:
@@ -279,12 +246,11 @@ def _classify_brace(code: str, i: int) -> tuple[str, str, int]:
 class _Scope:
     kind: str
     name: str
-    open_idx: int
 
 
 def scan_functions(sf: SourceFile) -> list[FunctionDef]:
-    """All function definitions in one file, with lambda ranges attributed
-    to their enclosing function."""
+    """All function definitions in one file; lambda bodies stay part of
+    their enclosing function."""
     code = sf.code
     out: list[FunctionDef] = []
     stack: list[_Scope] = []
@@ -294,24 +260,18 @@ def scan_functions(sf: SourceFile) -> list[FunctionDef]:
         if c == "{":
             kind, name, _ = _classify_brace(code, i)
             # A nested "fn" inside an open function body is in practice a
-            # lambda or a local-struct method; treat it as a lambda range
-            # so its code is not attributed to the point of definition.
+            # lambda or a local-struct method; its code stays part of the
+            # enclosing function.
             if kind == "fn" and fn_stack:
                 kind = "lambda"
-            stack.append(_Scope(kind, name, i))
+            stack.append(_Scope(kind, name))
             if kind == "fn":
                 ns = [s.name for s in stack[:-1]
                       if s.kind in ("namespace", "class") and s.name]
-                # Out-of-class definitions carry their class in the name
-                # (`Registry::counter`): the class component belongs to the
-                # qualification context, e.g. for lock identities.
-                parts = name.split("::")
-                class_qual = "::".join(ns + parts[:-1])
                 qual = "::".join(ns + [name]) if ns else name
                 fn = FunctionDef(
                     name=name.rsplit("::", 1)[-1], qualname=qual, rel=sf.rel,
-                    start=i, end=len(code), class_qual=class_qual,
-                    start_line=sf.line_at(i))
+                    start=i, end=len(code), start_line=sf.line_at(i))
                 fn_stack.append(fn)
         elif c == "}":
             if not stack:
@@ -322,31 +282,12 @@ def scan_functions(sf: SourceFile) -> list[FunctionDef]:
                 fn.end = i
                 fn.end_line = sf.line_at(i)
                 out.append(fn)
-            elif scope.kind == "lambda" and fn_stack:
-                fn_stack[-1].lambda_ranges.append((scope.open_idx, i + 1))
     # Unterminated functions (scanner confusion): drop rather than guess.
     out.sort(key=lambda f: f.start)
     return out
 
 
-# --- CFG-lite: loops and lock regions ---------------------------------------
-
-
-def _scope_end(code: str, offset: int, hard_end: int) -> int:
-    """Offset of the `}` closing the innermost scope containing `offset`,
-    bounded by hard_end."""
-    depth = 0
-    i = offset
-    while i < hard_end:
-        c = code[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            if depth == 0:
-                return i
-            depth -= 1
-        i += 1
-    return hard_end
+# --- CFG-lite: loops ---------------------------------------------------------
 
 
 def _annotate_loops(fn: FunctionDef, code: str) -> None:
@@ -378,42 +319,6 @@ def _annotate_loops(fn: FunctionDef, code: str) -> None:
             if i < body_end and code[i] == "{":
                 end = match_paren(code, i, "}")
                 fn.loop_ranges.append((i, end if end > 0 else body_end))
-
-
-def _lock_key(mutex: str, fn: FunctionDef) -> str:
-    """Program-wide identity for a mutex expression.
-
-    Convention-named members (`mu_`) are qualified by the enclosing class,
-    so `obs::Registry::mu_` and `util::ThreadPool::mu_` stay distinct;
-    anything else (globals, locals, `x.mu` paths) is used verbatim — a
-    heuristic that can merge distinct locks, which only ever *adds*
-    candidate edges for the cycle check to look at.
-    """
-    mutex = mutex.replace("this->", "").replace(" ", "")
-    if re.fullmatch(r"[A-Za-z_]\w*_", mutex) and fn.class_qual:
-        return f"{fn.class_qual}::{mutex}"
-    return mutex
-
-
-def _annotate_locks(fn: FunctionDef, code: str) -> None:
-    body_start, body_end = fn.start + 1, fn.end
-    for m in LOCK_GUARD_RE.finditer(code, body_start, body_end):
-        open_idx = m.end() - 1
-        close = match_paren(code, open_idx,
-                            ")" if code[open_idx] == "(" else "}")
-        if close < 0:
-            continue
-        mutex = code[open_idx + 1:close].strip()
-        end = _scope_end(code, close + 1, body_end)
-        fn.lock_regions.append(LockRegion(
-            mutex=mutex, key=_lock_key(mutex, fn), start=close + 1, end=end,
-            acquire_offset=m.start()))
-    for m in LOCK_CALL_RE.finditer(code, body_start, body_end):
-        mutex = m.group(1)
-        end = _scope_end(code, m.end(), body_end)
-        fn.lock_regions.append(LockRegion(
-            mutex=mutex, key=_lock_key(mutex, fn), start=m.end(), end=end,
-            acquire_offset=m.start()))
 
 
 def _annotate_calls(fn: FunctionDef, code: str) -> None:
@@ -462,7 +367,6 @@ class Program:
             fns = scan_functions(sf)
             for fn in fns:
                 _annotate_loops(fn, sf.code)
-                _annotate_locks(fn, sf.code)
                 _annotate_calls(fn, sf.code)
             self.functions.extend(fns)
         for fn in self.functions:

@@ -6,9 +6,9 @@ Two directions cover every interprocedural rule:
     everything that (transitively) calls it: nondeterminism sources for
     rule D4. Propagation stops at sanctioned laundering points.
   * transitive_union — a property of a function's body is inherited *by*
-    its callers as "reachable through a call": allocation for P1, blocking
-    for C4, lock acquisition for C5. Bounded by a hop limit so heuristic
-    call-resolution noise cannot smear a property across the whole tree.
+    its callers as "reachable through a call": allocation for P1. Bounded
+    by a hop limit so heuristic call-resolution noise cannot smear a
+    property across the whole tree.
 
 Both passes carry provenance so findings can print the actual
 source-to-sink chain instead of a bare verdict.

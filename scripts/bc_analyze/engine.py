@@ -10,14 +10,7 @@ from bc_analyze import RULES, RULE_EXEMPT_PREFIXES, __version__
 from bc_analyze.callgraph import Program
 from bc_analyze.model import Finding
 from bc_analyze.rules_capture import check_l3
-from bc_analyze.rules_concurrency import check_c2
-from bc_analyze.rules_dataflow import (
-    check_c4,
-    check_c5,
-    check_d4,
-    check_p1,
-    extra_d4_sources,
-)
+from bc_analyze.rules_dataflow import check_d4, check_p1, extra_d4_sources
 from bc_analyze.rules_determinism import check_d1, check_d2, check_d3
 from bc_analyze.rules_graph import check_g1
 from bc_analyze.source import SourceFile, load_source
@@ -112,7 +105,6 @@ class Analysis:
                 "D1": lambda s=sf: check_d1(s, d1_names, d1_fns, d1_subs),
                 "D2": lambda s=sf: check_d2(s),
                 "D3": lambda s=sf: check_d3(s),
-                "C2": lambda s=sf: check_c2(s),
                 "G1": lambda s=sf: check_g1(s),
                 "L3": lambda s=sf: check_l3(s),
             }
@@ -128,7 +120,7 @@ class Analysis:
 
     def run_interprocedural_rules(
             self, surviving: list[Finding]) -> list[Finding]:
-        """Dataflow rules D4/P1/C4/C5 over the whole-program call graph.
+        """Dataflow rules D4/P1 over the whole-program call graph.
 
         `surviving` are the post-suppression intraprocedural findings:
         the D1/D2/D3 ones among them seed the D4 taint pass (a suppressed
@@ -143,8 +135,6 @@ class Analysis:
         findings: list[Finding] = []
         findings.extend(check_d4(program, sources, _exempt))
         findings.extend(check_p1(program, _exempt))
-        findings.extend(check_c4(program, _exempt))
-        findings.extend(check_c5(program, _exempt))
         return findings
 
     def stale_suppression_findings(self) -> list[Finding]:
@@ -215,8 +205,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="bc_analyze.py",
         description=("BarterCast project-invariant analyzer: determinism"
                      " (D1-D4), dense-index encapsulation (G1), hot-path"
-                     " allocation (P1), lock discipline (C2, C4, C5) and"
-                     " engine callback captures (L3)"))
+                     " allocation (P1) and engine callback captures (L3)"))
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to analyze"
                              " (default: src bench examples)")

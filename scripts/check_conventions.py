@@ -13,18 +13,14 @@ Enforces the conventions clang-tidy cannot express:
   include-style    project headers are included as "module/file.hpp" (quoted,
                    rooted at src/), never <module/file.hpp> or "../relative"
   using-namespace  no using-namespace directives in headers
-  raw-primitive    (C1) no std::mutex/std::thread/std::atomic/
-                   std::condition_variable (or their lock/semaphore/future
-                   relatives): only the annotated bc::util wrappers in
-                   src/util/concurrency/ are covered by Clang's thread-safety
-                   analysis
-  detached-execution
-                   (C3) no `.detach()` and no std::async: detached work
-                   escapes deterministic teardown; use bc::util::ThreadPool,
-                   whose destructor joins
+  raw-primitive    (C1) no threads and no shared-state primitives:
+                   std::thread/jthread/async, `.detach()`, thread_local,
+                   std::mutex/std::atomic/std::condition_variable and their
+                   lock/semaphore/future relatives. The process runs on one
+                   thread (DESIGN.md section 10); this rule keeps it so.
 
-raw-primitive and detached-execution apply to src/ (outside
-src/util/concurrency/), bench/ and examples/; tests may use raw threads.
+raw-primitive applies to src/, bench/ and examples/; tests may use raw
+threads.
 
 Usage: scripts/check_conventions.py [paths...]   (default: src tests bench examples)
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -61,9 +57,9 @@ RAW_PRIMITIVE_RE = re.compile(
     r"|condition_variable(?:_any)?"
     r"|counting_semaphore|binary_semaphore|barrier|latch"
     r"|call_once|once_flag"
-    r"|promise|future|shared_future|packaged_task)\b"
+    r"|async|promise|future|shared_future|packaged_task)\b"
+    r"|\.\s*detach\s*\(|\bthread_local\b"
 )
-DETACH_RE = re.compile(r"\.\s*detach\s*\(|\bstd::async\b")
 
 # Path prefixes allowed to break specific rules.
 EXEMPT = {
@@ -72,12 +68,10 @@ EXEMPT = {
     # bc-analyze's intentionally-bad fixture exercises rule D3 with libc
     # rand(); it is analyzer test data, never compiled into the project.
     "libc-rand": ("tests/analysis_tool/fixtures/bad/d3_random.cpp",),
-    "raw-primitive": ("src/util/concurrency/",),
 }
 # Rules that apply only under these path prefixes.
 SCOPE = {
     "raw-primitive": ("src/", "bench/", "examples/"),
-    "detached-execution": ("src/", "bench/", "examples/"),
 }
 
 
@@ -148,15 +142,10 @@ class Checker:
             for m in RAW_PRIMITIVE_RE.finditer(code):
                 self.fail(
                     "raw-primitive", path, lineno,
-                    f"raw concurrency primitive `{m.group(0)}`; use"
-                    " bc::util::Mutex/LockGuard/CondVar/ThreadPool/"
-                    "RelaxedCounter, which the thread-safety analysis covers",
-                )
-            for m in DETACH_RE.finditer(code):
-                self.fail(
-                    "detached-execution", path, lineno,
-                    f"detached execution `{m.group(0).strip()}`; run the"
-                    " work on bc::util::ThreadPool, whose destructor joins",
+                    f"concurrency primitive `{m.group(0).strip()}`; the"
+                    " simulator is single-threaded by design (DESIGN.md"
+                    " section 10): run independent work as separate"
+                    " processes instead",
                 )
 
             if BC_ASSERT_USE_RE.search(code) and "#define" not in code:

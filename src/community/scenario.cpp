@@ -50,6 +50,10 @@ std::string ScenarioConfig::validate() const {
     return "seed_duration must be non-negative, got " +
            std::to_string(seed_duration);
   }
+  if (threads != 1) {
+    return "threads must be 1, got " + std::to_string(threads) +
+           "; a simulation runs on one thread (DESIGN.md §10)";
+  }
   return "";
 }
 

@@ -75,11 +75,10 @@ struct ScenarioConfig {
   Seconds series_bin = 4.0 * kHour;
 
   // --- execution --------------------------------------------------------
-  /// Worker-thread budget for the batch reputation phases (the all-peers
-  /// R_i(j) sweeps in reputation_probe/finalize). 1 = fully serial, today's
-  /// behavior. Any value yields bit-identical results (deterministic
-  /// parallel_for, see util/concurrency/thread_pool.hpp); the `parallel`
-  /// ctest label and the TSan preset prove it.
+  /// Must be 1: a simulation runs on one thread (DESIGN.md §10) and
+  /// validate() rejects anything else. The field stays only because the
+  /// benchmark (perfbench/src/sim_workload.cpp) assigns it; it goes once
+  /// the next benchmark change drops that assignment.
   std::size_t threads = 1;
 
   // --- observability ---------------------------------------------------

@@ -36,7 +36,6 @@ CommunitySimulator::CommunitySimulator(trace::Trace trace,
     : trace_(std::move(trace)),
       config_(config),
       rng_(config.seed),
-      pool_(config.threads),
       overlay_(engine_, Rng(config.seed ^ 0x6f6e6c696e65ULL)),
       pss_(gossip::PeerSamplingService::Config{
           config.seed ^ 0x70737321ULL, /*view_size=*/20, /*exchange_size=*/8}),
@@ -46,10 +45,6 @@ CommunitySimulator::CommunitySimulator(trace::Trace trace,
   BC_ASSERT_MSG(config_error.empty(), config_error.c_str());
   BC_ASSERT(config_.round_interval > 0.0);
   BC_ASSERT(config_.optimistic_interval >= config_.round_interval);
-  // One shard slot per parallel_for chunk (<= pool threads), so sharded
-  // instruments can record from the batch reputation sweeps without locks
-  // and still merge bit-identically at any --threads value.
-  obs::Registry::instance().configure_shards(config_.threads);
   if (!config_.metrics_stream_path.empty()) {
     const bool ok = metrics_stream_.open(config_.metrics_stream_path,
                                          obs::Registry::instance());
@@ -581,7 +576,7 @@ void CommunitySimulator::on_barter_message(
   static obs::Counter& dropped_self_report =
       obs::Registry::instance().counter("barter.dropped_self_report");
   // Per-message record-count distribution (how full the Nh+Nr selection
-  // runs in practice); serial phase, engine callback.
+  // runs in practice).
   static obs::LogHistogram& records_hist =
       obs::Registry::instance().log_histogram("barter.message_records",
                                               obs::LogSpec::magnitude());
@@ -632,38 +627,22 @@ double CommunitySimulator::system_reputation(PeerId subject) {
 std::vector<double> CommunitySimulator::batch_system_reputations() {
   const auto n = trace_.peers.size();
   BC_ASSERT(n >= 2);
-  // Phase 1 (parallel): evaluator-major R_i(j) matrix. Task j touches only
-  // evaluator j's Node (maxflow + its private CachedReputation) and writes
-  // only rows[j] — disjoint state, no locks on the hot path. The engine is
-  // parked during the sweep, so no other simulator state moves.
-  // Sharded instruments: pool chunks record into per-chunk shards, folded
-  // below at the phase barrier — counts and the value distribution come
-  // out bit-identical at any thread count.
   auto& registry = obs::Registry::instance();
   obs::Counter& evals = registry.counter("reputation.evaluations");
   obs::LogHistogram& values = registry.log_histogram(
       "reputation.eval_values", obs::LogSpec::signed_unit());
-  std::vector<std::vector<double>> rows(n);
-  pool_.parallel_for(n, [&](std::size_t j) {
-    auto& evaluator = *peers_[j].node;
-    auto& row = rows[j];
-    row.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j) continue;
-      row[i] = evaluator.reputation(static_cast<PeerId>(i));
-      evals.inc();
-      values.observe(row[i]);
-    }
-  });
-  registry.fold_shards();  // phase barrier: merge chunk partials
-  // Phase 2 (serial): merge in ascending evaluator order. For every subject
-  // i this reproduces the exact FP addition order of the serial sweep
-  // (sum over j = 0..n-1, j != i), so the result is bit-identical to
-  // --threads 1 regardless of how phase 1 was scheduled.
+  // Evaluator-major (j, then subjects i), and each subject's sum runs over
+  // ascending j. That order fixes both the cache traffic and the FP
+  // addition order, which the golden outputs pin bit for bit.
   std::vector<double> avg(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
+    auto& evaluator = *peers_[j].node;
     for (std::size_t i = 0; i < n; ++i) {
-      avg[i] += rows[j][i];
+      if (i == j) continue;
+      const double r = evaluator.reputation(static_cast<PeerId>(i));
+      evals.inc();
+      values.observe(r);
+      avg[i] += r;
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -785,6 +764,10 @@ void CommunitySimulator::run() {
   check::ScopedAudit audit_hook(
       "community.run", [this](check::Report& report) { audit(report); });
   engine_.run_until(trace_.duration);
+  // Audit before finalize() writes the stream's last window: the audit's
+  // Eq. 1 bound checks run maxflows, and their counts must land in it.
+  audit_hook.check_now();
+  audit_hook.dismiss();
   finalize();
   BC_DASSERT(std::all_of(swarms_.begin(), swarms_.end(), [](const auto& c) {
     return c->swarm.check_invariants();

@@ -34,7 +34,6 @@
 #include "obs/stream.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
-#include "util/concurrency/thread_pool.hpp"
 
 namespace bc::community {
 
@@ -138,12 +137,9 @@ class CommunitySimulator {
   void pump_metrics_window();
 
   /// Batch all-peers sweep: returns the system reputation of every trace
-  /// peer (Equation 2), evaluating the full R_i(j) matrix on the thread
-  /// pool. Evaluator-major: each pool task owns one evaluator's Node (its
-  /// CachedReputation is per-node state, so tasks touch disjoint objects),
-  /// and rows are merged serially in ascending evaluator order — the exact
-  /// FP addition order of the serial code, so results are bit-identical at
-  /// any thread count. Requires n >= 2.
+  /// peer (Equation 2), evaluating the full R_i(j) matrix evaluator by
+  /// evaluator, so each Node's CachedReputation serves one evaluator's
+  /// run of subjects. Requires n >= 2.
   std::vector<double> batch_system_reputations();
 
   bartercast::BarterCastMessage make_outgoing_message(PeerId peer);
@@ -157,9 +153,6 @@ class CommunitySimulator {
   trace::Trace trace_;
   ScenarioConfig config_;
   Rng rng_;
-  /// Worker pool for the batch reputation sweeps (config_.threads). All
-  /// other simulator state is touched only from the engine thread.
-  util::ThreadPool pool_;
 
   sim::Engine engine_;
   net::Overlay overlay_;

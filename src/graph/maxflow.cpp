@@ -81,13 +81,14 @@ class Residual {
   std::unordered_map<std::uint64_t, Bytes> delta_;
 };
 
-/// Per-thread search scratch reused across queries and augmentation rounds:
-/// the reputation sweep calls the maxflow entry points once per subject, and
+/// Search scratch reused across queries and augmentation rounds: the
+/// reputation sweep calls the maxflow entry points once per subject, and
 /// none of them may pay the allocator per iteration (bc-analyze rule P1).
-/// Buffers grow to the per-thread high-water mark once and are reset with
-/// assign()/clear(). `frontier` holds one candidate list per DFS depth; it
-/// is a deque so growing it mid-recursion never invalidates the candidate
-/// list a shallower frame is iterating.
+/// Buffers grow to the high-water mark once and are reset with
+/// assign()/clear(); one instance serves the process, which runs on one
+/// thread (DESIGN.md §10). `frontier` holds one candidate list per DFS
+/// depth; it is a deque so growing it mid-recursion never invalidates the
+/// candidate list a shallower frame is iterating.
 struct SearchScratch {
   std::vector<char> visited;
   std::vector<PeerId> path;
@@ -97,7 +98,7 @@ struct SearchScratch {
 };
 
 SearchScratch& search_scratch() {
-  thread_local SearchScratch scratch;
+  static SearchScratch scratch;
   return scratch;
 }
 
@@ -152,8 +153,8 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
     path.clear();
     path.push_back(s);
     // bc-analyze: allow(P1) -- dfs candidate lists are per-depth scratch in
-    // SearchScratch: they grow to the per-thread high-water mark once and
-    // are reused across queries, steady-state allocation-free
+    // SearchScratch: they grow to the high-water mark once and are reused
+    // across queries, steady-state allocation-free
     if (!dfs_find_path(g, res, s, t, max_path_edges, visited, path,
                        scratch.frontier, 0)) {
       break;
@@ -168,7 +169,6 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
       res.augment(path[i], path[i + 1], bottleneck);
     }
     flow = util::saturating_add(flow, bottleneck);
-    // Sharded: safe from pool workers, merges deterministically.
     static obs::Counter& augmentations =
         obs::Registry::instance().counter("maxflow.augmenting_paths");
     augmentations.inc();
@@ -230,8 +230,6 @@ Bytes max_flow_edmonds_karp(const FlowGraph& g, PeerId s, PeerId t) {
 
 Bytes max_flow_two_hop(const FlowGraph& g, PeerId s, PeerId t) {
   BC_OBS_SCOPE("maxflow.two_hop");
-  // Sharded instruments: the simulator's batch sweeps call this from pool
-  // workers, where each chunk records into its own shard.
   static obs::Counter& queries =
       obs::Registry::instance().counter("maxflow.two_hop_queries");
   static obs::LogHistogram& flow_bytes = obs::Registry::instance().log_histogram(

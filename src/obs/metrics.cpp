@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/assert.hpp"
-#include "util/checked.hpp"
 
 namespace bc::obs {
 
@@ -32,10 +31,6 @@ std::vector<double> Histogram::uniform_edges(double lo, double hi,
 
 void Histogram::add(double value) {
   BC_ASSERT_MSG(!counts_.empty(), "histogram used before construction");
-  // Serial-phase contract: fail fast (validate preset) when a pool chunk
-  // or a foreign thread touches the double accumulator below.
-  BC_DASSERT(util::current_shard_slot() == 0 &&
-             util::current_thread_tag() == owner_);
   const auto it = std::lower_bound(edges_.begin(), edges_.end(), value);
   counts_[static_cast<std::size_t>(it - edges_.begin())] += 1;
   ++total_;
@@ -59,8 +54,7 @@ void Histogram::reset() {
   sum_ = 0.0;
 }
 
-LogHistogram::LogHistogram(const LogSpec& spec, std::size_t num_shards)
-    : spec_(spec) {
+LogHistogram::LogHistogram(const LogSpec& spec) : spec_(spec) {
   BC_ASSERT_MSG(spec.max_exp2 > spec.min_exp2,
                 "log histogram needs at least one octave");
   BC_ASSERT_MSG(spec.sub_bits <= 8, "sub-bucket resolution capped at 2^8");
@@ -72,7 +66,6 @@ LogHistogram::LogHistogram(const LogSpec& spec, std::size_t num_shards)
   zero_index_ = spec.with_negative ? per_sign_ : 0;
   min_mag_ = std::ldexp(1.0, spec.min_exp2);
   counts_.assign(per_sign_ * (spec.with_negative ? 2 : 1) + 1, 0);
-  enable_shards(num_shards);
 }
 
 std::size_t LogHistogram::index_of(double v) const {
@@ -131,21 +124,7 @@ std::int64_t LogHistogram::to_units(double v) const {
 
 std::uint64_t LogHistogram::count(std::size_t i) const {
   BC_ASSERT(i < counts_.size());
-  std::uint64_t c = counts_[i];
-  for (const Shard& s : shards_) c += s.counts[i];
-  return c;
-}
-
-std::uint64_t LogHistogram::total() const {
-  std::uint64_t t = total_;
-  for (const Shard& s : shards_) t += s.total;
-  return t;
-}
-
-std::int64_t LogHistogram::sum_units() const {
-  std::int64_t u = sum_units_;
-  for (const Shard& s : shards_) u = util::saturating_add(u, s.sum_units);
-  return u;
+  return counts_[i];
 }
 
 double LogHistogram::sum() const {
@@ -163,7 +142,7 @@ double LogHistogram::quantile(double q) const {
   if (rank == 0) rank = 1;
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += count(i);
+    cum += counts_[i];
     if (cum >= rank) return upper_edge(i);
   }
   return upper_edge(counts_.size() - 1);
@@ -171,55 +150,15 @@ double LogHistogram::quantile(double q) const {
 
 double LogHistogram::max_value() const {
   for (std::size_t i = counts_.size(); i > 0; --i) {
-    if (count(i - 1) > 0) return upper_edge(i - 1);
+    if (counts_[i - 1] > 0) return upper_edge(i - 1);
   }
   return 0.0;
-}
-
-void LogHistogram::fold_shards() {
-  for (Shard& s : shards_) {
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += s.counts[i];
-      s.counts[i] = 0;
-    }
-    total_ += s.total;
-    sum_units_ += s.sum_units;
-    s.total = 0;
-    s.sum_units = 0;
-  }
-}
-
-void LogHistogram::enable_shards(std::size_t n) {
-  while (shards_.size() < n) {
-    Shard s;
-    s.counts.assign(counts_.size(), 0);
-    shards_.push_back(std::move(s));
-  }
-}
-
-void LogHistogram::merge_from(const LogHistogram& other) {
-  BC_ASSERT_MSG(other.counts_.size() == counts_.size() &&
-                    other.zero_index_ == zero_index_ &&
-                    other.spec_.min_exp2 == spec_.min_exp2 &&
-                    other.spec_.sub_bits == spec_.sub_bits &&
-                    other.spec_.sum_frac_bits == spec_.sum_frac_bits,
-                "log-histogram merge requires identical geometry");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.count(i);
-  }
-  total_ += other.total();
-  sum_units_ += other.sum_units();
 }
 
 void LogHistogram::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;
   sum_units_ = 0;
-  for (Shard& s : shards_) {
-    std::fill(s.counts.begin(), s.counts.end(), 0);
-    s.total = 0;
-    s.sum_units = 0;
-  }
 }
 
 Registry& Registry::instance() {
@@ -228,18 +167,13 @@ Registry& Registry::instance() {
 }
 
 Counter& Registry::counter(std::string_view name) {
-  util::LockGuard lock(mu_);
   if (auto it = counters_.find(name); it != counters_.end()) {
     return it->second;
   }
-  // try_emplace: Counter owns an atomic and is therefore not copyable.
-  Counter& c = counters_.try_emplace(std::string(name)).first->second;
-  c.enable_shards(shard_slots_);
-  return c;
+  return counters_.try_emplace(std::string(name)).first->second;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-  util::LockGuard lock(mu_);
   if (auto it = gauges_.find(name); it != gauges_.end()) {
     return it->second;
   }
@@ -248,7 +182,6 @@ Gauge& Registry::gauge(std::string_view name) {
 
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> upper_edges) {
-  util::LockGuard lock(mu_);
   if (auto it = histograms_.find(name); it != histograms_.end()) {
     return it->second;
   }
@@ -259,36 +192,13 @@ Histogram& Registry::histogram(std::string_view name,
 
 LogHistogram& Registry::log_histogram(std::string_view name,
                                       const LogSpec& spec) {
-  util::LockGuard lock(mu_);
   if (auto it = log_histograms_.find(name); it != log_histograms_.end()) {
     return it->second;
   }
-  return log_histograms_
-      .try_emplace(std::string(name), spec, shard_slots_)
-      .first->second;
-}
-
-void Registry::configure_shards(std::size_t n) {
-  util::LockGuard lock(mu_);
-  if (n <= shard_slots_) return;
-  shard_slots_ = n;
-  for (auto& [_, c] : counters_) c.enable_shards(n);
-  for (auto& [_, h] : log_histograms_) h.enable_shards(n);
-}
-
-std::size_t Registry::shard_slots() const {
-  util::LockGuard lock(mu_);
-  return shard_slots_;
-}
-
-void Registry::fold_shards() {
-  util::LockGuard lock(mu_);
-  for (auto& [_, c] : counters_) c.fold_shards();
-  for (auto& [_, h] : log_histograms_) h.fold_shards();
+  return log_histograms_.try_emplace(std::string(name), spec).first->second;
 }
 
 Snapshot Registry::snapshot() const {
-  util::LockGuard lock(mu_);
   Snapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
@@ -336,13 +246,11 @@ Snapshot Registry::snapshot() const {
 }
 
 std::size_t Registry::num_instruments() const {
-  util::LockGuard lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size() +
          log_histograms_.size();
 }
 
 void Registry::reset_values() {
-  util::LockGuard lock(mu_);
   for (auto& [_, c] : counters_) c.reset();
   for (auto& [_, g] : gauges_) g.reset();
   for (auto& [_, h] : histograms_) h.reset();

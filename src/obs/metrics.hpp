@@ -1,5 +1,5 @@
 // Metrics registry: named counters, gauges, fixed-bucket histograms, and
-// sharded log-bucket (HDR-style) histograms.
+// log-bucket (HDR-style) histograms.
 //
 // Call sites cache the instrument reference once (typically in a
 // function-local static) and touch only the instrument afterwards:
@@ -14,26 +14,10 @@
 // the maps in key order, which makes exported output deterministic
 // run-to-run.
 //
-// Thread safety and sharding: instrumented code may run on
-// bc::util::ThreadPool workers (the batch reputation sweeps), so the
-// instrument maps are guarded by an annotated Mutex, and the two
-// *recording* instruments — Counter and LogHistogram — are sharded:
-// after Registry::configure_shards(n), each holds one cache-line-padded
-// slot per parallel_for chunk and routes recordings through
-// util::current_shard_slot(). Shard state is integer-only (counts and
-// fixed-point sums), and merges walk slots in ascending order, so merged
-// snapshots are bit-identical at any thread count — integer addition
-// commutes and associates, unlike the double accumulation the serial-phase
-// instruments keep. Counters additionally fall back to a relaxed-atomic
-// add when no shard slot covers the caller, so they are safe from any
-// thread even before configure_shards().
-//
-// Gauges and fixed-bucket histograms remain serial-phase instruments:
-// their state is `double` (last-writer-wins / FP accumulation), which no
-// commutative merge can make bit-stable across thread counts. They are
-// only touched from engine callbacks and finalize(); a debug-mode
-// owning-thread check (active under the `validate` preset) makes a pool
-// worker touching one fail fast instead of silently racing.
+// The simulator runs on one thread (DESIGN.md §10), so instruments are
+// plain state. Counter and LogHistogram keep integer state only (counts
+// and fixed-point sums), which lets the windowed stream encode exact
+// deltas (obs/stream.hpp).
 //
 // The registry does not know about simulation time; periodic snapshots are
 // driven externally (see obs/stream.hpp, obs/export.hpp and
@@ -47,114 +31,42 @@
 #include <string_view>
 #include <vector>
 
-#include "util/assert.hpp"
 #include "util/checked.hpp"
-#include "util/concurrency/atomic.hpp"
-#include "util/concurrency/mutex.hpp"
-#include "util/concurrency/shard_slot.hpp"
 
 namespace bc::obs {
 
-/// One per-chunk shard cell, padded to a cache line so two chunks never
-/// false-share. Written by exactly one thread (the chunk's executor)
-/// between barriers; read/merged only at serial phases.
-struct alignas(64) ShardCell {
-  std::uint64_t value = 0;
-};
-
-/// Monotonically increasing event count. Safe to increment from pool
-/// workers: with shards enabled the increment is a plain add on the
-/// caller's chunk cell; otherwise it is a relaxed-atomic add. Either way
-/// the total is order-independent (integer addition commutes).
+/// Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-    const std::size_t slot = util::current_shard_slot();
-    if (slot < shards_.size()) {
-      shards_[slot].value += n;
-      return;
-    }
-    value_.add(n);
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
+  std::uint64_t value() const { return value_; }
 
-  /// Merged total: base plus every shard, ascending slot order.
-  std::uint64_t value() const {
-    std::uint64_t v = value_.load();
-    for (const ShardCell& s : shards_) v += s.value;
-    return v;
-  }
+  /// Overwrites the total (used to republish externally-tracked totals,
+  /// e.g. the reputation-cache tallies, through the windowed stream).
+  void store_total(std::uint64_t v) { value_ = v; }
 
-  /// Serial-phase only: folds shards into the base and overwrites the
-  /// total (used to republish externally-tracked totals, e.g. the
-  /// reputation-cache tallies, through the windowed stream).
-  void store_total(std::uint64_t v) {
-    for (ShardCell& s : shards_) s.value = 0;
-    value_.store(v);
-  }
-
-  /// Serial-phase only (a phase barrier): moves shard partials into the
-  /// base so shard cells start the next parallel phase at zero.
-  void fold_shards() {
-    std::uint64_t folded = 0;
-    for (ShardCell& s : shards_) {
-      folded += s.value;
-      s.value = 0;
-    }
-    if (folded > 0) value_.add(folded);
-  }
-
-  /// Serial-phase only: grows the shard array to `n` slots (never
-  /// shrinks, so references and running totals survive reconfiguration).
-  void enable_shards(std::size_t n) {
-    if (n > shards_.size()) shards_.resize(n);
-  }
-
-  void reset() {
-    value_.store(0);
-    for (ShardCell& s : shards_) s.value = 0;
-  }
+  void reset() { value_ = 0; }
 
  private:
-  util::RelaxedCounter value_;
-  std::vector<ShardCell> shards_;
+  std::uint64_t value_ = 0;
 };
 
-/// Point-in-time measurement (last writer wins). Serial-phase only: set
-/// from engine callbacks or finalize(), never from pool workers — the
-/// debug owning-thread check below fails fast under the validate preset.
+/// Point-in-time measurement (last writer wins).
 class Gauge {
  public:
-  void set(double v) {
-    debug_check_serial_phase();
-    value_ = v;
-  }
-  void add(double d) {
-    debug_check_serial_phase();
-    value_ += d;
-  }
+  void set(double v) { value_ = v; }
+  void add(double d) { value_ += d; }
   double value() const { return value_; }
   void reset() { value_ = 0.0; }
 
  private:
-  void debug_check_serial_phase() const {
-    // Slot != 0 means we are inside a pool worker's parallel_for chunk;
-    // a foreign thread tag means another thread entirely. Both are the
-    // race-by-convention this instrument's contract forbids.
-    BC_DASSERT(util::current_shard_slot() == 0 &&
-               util::current_thread_tag() == owner_);
-  }
-
   double value_ = 0.0;
-  /// Owning thread, captured at creation (debug-check identity only —
-  /// never ordered or hashed, so no pointer-order nondeterminism).
-  const void* owner_ = util::current_thread_tag();
 };
 
 /// Fixed-bucket histogram with explicit ascending upper edges. A value v
 /// lands in the first bucket whose upper edge satisfies v <= edge; values
 /// above the last edge land in an implicit overflow bucket, so total()
-/// always equals the number of add() calls. Serial-phase only (double
-/// `sum` accumulation), with the same debug owning-thread check as Gauge.
+/// always equals the number of add() calls.
 class Histogram {
  public:
   Histogram() = default;
@@ -183,7 +95,6 @@ class Histogram {
   std::vector<std::uint64_t> counts_;   // edges_.size() + 1 (overflow last)
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
-  const void* owner_ = util::current_thread_tag();
 };
 
 /// Geometry of a LogHistogram: sign-symmetric logarithmic buckets —
@@ -201,7 +112,7 @@ struct LogSpec {
   /// Mirror the positive layout for negative values.
   bool with_negative = false;
   /// sum() is accumulated in fixed point with quantum 2^-sum_frac_bits,
-  /// so shard merges stay integer (deterministic at any thread count).
+  /// so window deltas of it subtract exactly.
   int sum_frac_bits = 20;
 
   /// Seconds-scale durations: ~1 us resolution up to ~2^20 s.
@@ -213,38 +124,24 @@ struct LogSpec {
   static LogSpec signed_unit() { return {-12, 1, 3, true, 20}; }
 };
 
-/// Sharded logarithmic-bucket histogram with O(buckets) merge and
-/// quantile summaries. All state is integer (bucket counts plus a
-/// fixed-point sum), bucket indexing is exact integer math on the
-/// mantissa/exponent (std::frexp — no transcendental rounding), and
-/// merges are commutative sums, so merged snapshots are bit-identical at
-/// any thread count. Buckets are stored in ascending *value* order
-/// (negative octaves high-to-low magnitude, zero, positive octaves
-/// low-to-high), so quantile() is one forward scan.
+/// Logarithmic-bucket histogram with quantile summaries. All state is
+/// integer (bucket counts plus a fixed-point sum), and bucket indexing is
+/// exact integer math on the mantissa/exponent (std::frexp — no
+/// transcendental rounding), so snapshots are bit-identical run to run.
+/// Buckets are stored in ascending *value* order (negative octaves
+/// high-to-low magnitude, zero, positive octaves low-to-high), so
+/// quantile() is one forward scan.
 class LogHistogram {
  public:
-  LogHistogram(const LogSpec& spec, std::size_t num_shards);
+  explicit LogHistogram(const LogSpec& spec);
 
-  /// Records one value (NaN is a caller bug). Routes to the caller's
-  /// shard slot; without a covering shard, falls back to the serial base
-  /// state — which a pool chunk must never touch (debug-checked).
+  /// Records one value (NaN is a caller bug).
   void observe(double v) {
-    const std::size_t idx = index_of(v);
-    const std::int64_t units = to_units(v);
-    const std::size_t slot = util::current_shard_slot();
-    if (slot < shards_.size()) {
-      Shard& s = shards_[slot];
-      ++s.counts[idx];
-      ++s.total;
-      // Fixed-point sums saturate: a histogram must degrade, not abort
-      // or wrap, when fed month-scale totals.
-      s.sum_units = util::saturating_add(s.sum_units, units);
-      return;
-    }
-    BC_DASSERT(slot == 0);  // pool chunk without a shard would race
-    ++counts_[idx];
+    ++counts_[index_of(v)];
     ++total_;
-    sum_units_ = util::saturating_add(sum_units_, units);
+    // Fixed-point sums saturate: a histogram must degrade, not abort or
+    // wrap, when fed month-scale totals.
+    sum_units_ = util::saturating_add(sum_units_, to_units(v));
   }
 
   const LogSpec& spec() const { return spec_; }
@@ -255,10 +152,9 @@ class LogHistogram {
   /// Upper value bound of bucket `i` (buckets ascend in value).
   double upper_edge(std::size_t i) const;
 
-  // Merged views (serial-phase): base plus shards, ascending slot order.
   std::uint64_t count(std::size_t i) const;
-  std::uint64_t total() const;
-  std::int64_t sum_units() const;
+  std::uint64_t total() const { return total_; }
+  std::int64_t sum_units() const { return sum_units_; }
   double sum() const;
   /// Upper edge of the bucket holding the q-quantile (q in [0, 1]) of
   /// everything recorded; 0 when empty.
@@ -266,34 +162,18 @@ class LogHistogram {
   /// Upper edge of the highest non-empty bucket; 0 when empty.
   double max_value() const;
 
-  /// Serial-phase only (a phase barrier): folds shard state into the
-  /// base, zeroing the shards for the next parallel phase.
-  void fold_shards();
-  /// Serial-phase only: grows the shard array to `n` slots.
-  void enable_shards(std::size_t n);
-  /// Adds `other`'s merged state into this base. O(buckets); specs must
-  /// have identical geometry.
-  void merge_from(const LogHistogram& other);
-
   void reset();
 
  private:
-  struct Shard {
-    std::vector<std::uint64_t> counts;
-    std::uint64_t total = 0;
-    std::int64_t sum_units = 0;
-  };
-
   std::int64_t to_units(double v) const;
 
   LogSpec spec_;
   std::size_t per_sign_ = 0;  // buckets per sign = octaves * 2^sub_bits
   std::size_t zero_index_ = 0;
   double min_mag_ = 0.0;  // 2^min_exp2
-  std::vector<std::uint64_t> counts_;  // base state, ascending value order
+  std::vector<std::uint64_t> counts_;  // ascending value order
   std::uint64_t total_ = 0;
   std::int64_t sum_units_ = 0;
-  std::vector<Shard> shards_;
 };
 
 /// Value-copies of every instrument, sorted by name.
@@ -347,17 +227,6 @@ class Registry {
   Histogram& histogram(std::string_view name, std::vector<double> upper_edges);
   LogHistogram& log_histogram(std::string_view name, const LogSpec& spec);
 
-  /// Serial-phase only: guarantees every sharded instrument (existing and
-  /// future) has at least `n` shard slots — call with the ThreadPool size
-  /// before the first parallel phase that records. Never shrinks.
-  void configure_shards(std::size_t n);
-  std::size_t shard_slots() const;
-
-  /// Serial-phase only (the phase-barrier merge): folds every sharded
-  /// instrument's shard partials into its base state, ascending slot
-  /// order, leaving shards zeroed for the next parallel phase.
-  void fold_shards();
-
   Snapshot snapshot() const;
 
   std::size_t num_instruments() const;
@@ -367,14 +236,10 @@ class Registry {
   void reset_values();
 
  private:
-  mutable util::Mutex mu_;
-  std::size_t shard_slots_ BC_GUARDED_BY(mu_) = 0;
-  std::map<std::string, Counter, std::less<>> counters_ BC_GUARDED_BY(mu_);
-  std::map<std::string, Gauge, std::less<>> gauges_ BC_GUARDED_BY(mu_);
-  std::map<std::string, Histogram, std::less<>> histograms_
-      BC_GUARDED_BY(mu_);
-  std::map<std::string, LogHistogram, std::less<>> log_histograms_
-      BC_GUARDED_BY(mu_);
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
+  std::map<std::string, LogHistogram, std::less<>> log_histograms_;
 };
 
 }  // namespace bc::obs

@@ -20,8 +20,7 @@
 // bucket deltas, i.e. p99 of what happened this window, not since boot.
 // Instruments are emitted sorted by name and doubles use the same "%g"
 // formatting as export.cpp, so two runs with identical metric histories
-// produce byte-identical streams — the determinism suite diffs streams
-// across --threads 1/2/4/8.
+// produce byte-identical streams.
 //
 // The stream owns no timer: whoever owns a sim::Engine pumps emit_window
 // (community::CommunitySimulator schedules it via Engine::schedule_periodic

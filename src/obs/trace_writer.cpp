@@ -27,7 +27,8 @@ std::string format_double(double v) {
 }
 
 /// Set from the signal handler, consumed at poll points. sig_atomic_t is
-/// the only object a standard signal handler may write.
+/// the only object a standard signal handler may write; it is a signal
+/// flag, not shared state between threads (the process has one thread).
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void request_dump(int /*signum*/) { g_dump_requested = 1; }

@@ -1,5 +1,5 @@
-// check_conventions fixture: raw concurrency primitives outside
-// src/util/concurrency/ (rule raw-primitive, C1).
+// check_conventions fixture: raw concurrency primitives in src/ (rule
+// raw-primitive, C1).
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -13,3 +13,5 @@ void spin() {
   std::thread worker([] {});  // line 13
   worker.join();
 }
+
+thread_local int per_thread_scratch = 0;  // line 17

@@ -1,5 +1,5 @@
-// check_conventions fixture: src/util/concurrency/ implements the annotated
-// wrappers, so raw primitives are allowed here.
-#include <mutex>
+// check_conventions fixture: no directory under src/ is exempt from the
+// raw-primitive rule (C1) any more, so a raw thread here is reported.
+#include <thread>
 
-std::mutex wrapper_lock;
+void spawn() { std::thread([] {}).join(); }  // line 5: C1

@@ -1,7 +1,7 @@
-// Bit-exact determinism of the community simulator (guards future
-// parallelism work): two runs from the same trace seed and scenario config
-// must produce bit-identical metrics, down to the floating-point bit
-// patterns of every time-series bin and reputation value.
+// Bit-exact determinism of the community simulator: two runs from the
+// same trace seed and scenario config must produce bit-identical metrics,
+// down to the floating-point bit patterns of every time-series bin and
+// reputation value.
 #include <gtest/gtest.h>
 
 #include <bit>

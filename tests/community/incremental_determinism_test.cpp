@@ -1,28 +1,16 @@
 // Incremental invalidation must never change a single bit of any
-// reputation. Two guarantees are pinned here:
-//
-//  1. A CachedReputation serving a mutating SharedHistory returns, for
-//     every query, exactly the value a cold engine recomputes from scratch
-//     on the current graph — bit-for-bit, across interleaved local
-//     transfers and gossip merges — while actually reusing entries
-//     (otherwise the dirty tracking silently degraded to full recompute).
-//  2. The community batch sweep built on those caches stays bit-identical
-//     at any thread count.
-//
-// Registered under the `parallel` ctest label (and thereby the tsan CI
-// job) because the batch sweep is the consumer the invalidation was built
-// for.
+// reputation: a CachedReputation serving a mutating SharedHistory returns,
+// for every query, exactly the value a cold engine recomputes from scratch
+// on the current graph — bit-for-bit, across interleaved local transfers
+// and gossip merges — while actually reusing entries (otherwise the dirty
+// tracking silently degraded to full recompute).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <sstream>
-#include <string>
 
 #include "bartercast/reputation.hpp"
 #include "bartercast/shared_history.hpp"
-#include "community/simulator.hpp"
-#include "trace/generator.hpp"
 #include "util/rng.hpp"
 
 namespace bc::community {
@@ -70,40 +58,6 @@ TEST(IncrementalDeterminism, CachedSweepMatchesColdRecompute) {
   // mutated two-hop neighbourhood misses each round.
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_LT(cache.misses(), cache.hits());
-}
-
-trace::Trace small_trace(std::uint64_t seed) {
-  trace::GeneratorConfig cfg;
-  cfg.seed = seed;
-  cfg.num_peers = 12;
-  cfg.num_swarms = 2;
-  cfg.duration = 6.0 * kHour;
-  cfg.file_size_min = mib(10);
-  cfg.file_size_max = mib(30);
-  cfg.requests_per_peer_min = 1;
-  cfg.requests_per_peer_max = 2;
-  return trace::generate(cfg);
-}
-
-std::string reputation_fingerprint(std::size_t threads) {
-  ScenarioConfig cfg;
-  cfg.seed = 31;
-  cfg.policy = bartercast::ReputationPolicy::rank_ban(-0.5);
-  cfg.threads = threads;
-  CommunitySimulator sim(small_trace(5), cfg);
-  sim.run();
-  std::ostringstream out;
-  for (const auto& o : sim.metrics().outcomes) {
-    out << o.peer << ','
-        << std::bit_cast<std::uint64_t>(o.final_system_reputation) << '\n';
-  }
-  return out.str();
-}
-
-TEST(IncrementalDeterminism, BatchSweepBitIdenticalAcrossThreadCounts) {
-  const std::string serial = reputation_fingerprint(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(reputation_fingerprint(4), serial);
 }
 
 }  // namespace

@@ -64,6 +64,18 @@ TEST(ScenarioValidate, AdversaryKnobsChecked) {
   EXPECT_NE(cfg.validate().find("mobile_churn_period"), std::string::npos);
 }
 
+TEST(ScenarioValidate, OnlyOneThreadAccepted) {
+  // A simulation runs on one thread; the field survives only for the
+  // benchmark, which sets it to 1.
+  ScenarioConfig cfg;
+  cfg.threads = 1;
+  EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
+  cfg.threads = 2;
+  const std::string error = cfg.validate();
+  EXPECT_NE(error.find("threads must be 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("DESIGN.md"), std::string::npos) << error;
+}
+
 TEST(ScenarioValidateDeathTest, SimulatorRejectsInvalidConfig) {
   trace::GeneratorConfig tcfg;
   tcfg.seed = 1;

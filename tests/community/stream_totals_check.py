@@ -14,7 +14,10 @@ JSON bit-for-bit:
   * per log histogram, summed window totals and per-bucket deltas equal
     the end-of-run bucket counts.
 
-Usage: stream_totals_check.py <path-to-swarm_simulation>
+Usage: stream_totals_check.py <path-to-swarm_simulation> [extra args...]
+
+Extra arguments are passed through to the binary (e.g. --validate, which
+adds the end-of-run invariant audit and its maxflow queries).
 """
 
 import json
@@ -40,15 +43,15 @@ REQUIRED_COUNTERS = (
 
 
 def main():
-    if len(sys.argv) != 2:
-        sys.exit("usage: stream_totals_check.py <swarm_simulation>")
-    binary = sys.argv[1]
+    if len(sys.argv) < 2:
+        sys.exit("usage: stream_totals_check.py <swarm_simulation> [args...]")
+    binary, extra = sys.argv[1], sys.argv[2:]
     with tempfile.TemporaryDirectory() as tmpdir:
         stream_path = Path(tmpdir) / "stream.ndjson"
         json_path = Path(tmpdir) / "metrics.json"
         proc = subprocess.run(
             [binary, f"--metrics-stream={stream_path}",
-             f"--metrics-out={json_path}"],
+             f"--metrics-out={json_path}", *extra],
             capture_output=True, text=True)
         if proc.returncode != 0:
             sys.exit(f"FAIL: swarm_simulation exited {proc.returncode}\n"

@@ -7,8 +7,8 @@ byte against a committed golden file. The simulations are deterministic,
 so any difference is a change in behaviour: a mismatch prints a unified
 diff and fails.
 
-The other BC_* variables are cleared, so a developer's BC_THREADS,
-BC_PROFILE or BC_METRICS_OUT cannot change what the bench prints.
+The other BC_* variables are cleared, so a developer's BC_PROFILE or
+BC_METRICS_OUT cannot change what the bench prints.
 
 Usage:
   check_golden.py <figure-bench> <golden-file>           compare

@@ -5,20 +5,19 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
-#include "util/concurrency/shard_slot.hpp"
 
 namespace bc::obs {
 namespace {
 
 TEST(LogHistogram, EdgesAscendStrictly) {
-  const LogHistogram h(LogSpec::signed_unit(), 0);
+  const LogHistogram h(LogSpec::signed_unit());
   for (std::size_t i = 1; i < h.num_buckets(); ++i) {
     EXPECT_LT(h.upper_edge(i - 1), h.upper_edge(i)) << "bucket " << i;
   }
 }
 
 TEST(LogHistogram, ValuesLandInsideTheirBucket) {
-  const LogHistogram h(LogSpec::latency_seconds(), 0);
+  const LogHistogram h(LogSpec::latency_seconds());
   // In-range positives: buckets are lower-inclusive, so a value sits in
   // [upper_edge(i - 1), upper_edge(i)) — exact powers of two start a
   // fresh bucket rather than topping off the previous one.
@@ -32,21 +31,21 @@ TEST(LogHistogram, ValuesLandInsideTheirBucket) {
 }
 
 TEST(LogHistogram, TinyValuesHitTheZeroBucket) {
-  const LogHistogram h(LogSpec::latency_seconds(), 0);
+  const LogHistogram h(LogSpec::latency_seconds());
   EXPECT_EQ(h.index_of(0.0), 0u);
   EXPECT_EQ(h.index_of(1e-9), 0u);  // below 2^-20
   EXPECT_EQ(h.upper_edge(0), std::ldexp(1.0, -20));
 }
 
 TEST(LogHistogram, HugeValuesClampIntoTheTopBucket) {
-  const LogHistogram h(LogSpec::magnitude(), 0);  // caps at 2^40
+  const LogHistogram h(LogSpec::magnitude());  // caps at 2^40
   const std::size_t top = h.num_buckets() - 1;
   EXPECT_EQ(h.index_of(1e13), top);
   EXPECT_EQ(h.index_of(1e300), top);
 }
 
 TEST(LogHistogram, SignedSpecMirrorsNegativeValues) {
-  LogHistogram h(LogSpec::signed_unit(), 0);
+  LogHistogram h(LogSpec::signed_unit());
   const std::size_t ip = h.index_of(0.5);
   const std::size_t in = h.index_of(-0.5);
   // Mirrored around the zero bucket; negative buckets ascend toward zero.
@@ -64,7 +63,7 @@ TEST(LogHistogram, SignedSpecMirrorsNegativeValues) {
 }
 
 TEST(LogHistogram, QuantilesAndMax) {
-  LogHistogram h(LogSpec::magnitude(), 0);
+  LogHistogram h(LogSpec::magnitude());
   for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
   EXPECT_EQ(h.total(), 100u);
   // Quantiles report the upper edge of the target bucket: within one
@@ -77,11 +76,11 @@ TEST(LogHistogram, QuantilesAndMax) {
   EXPECT_LE(p99, 112.0);
   EXPECT_GE(h.max_value(), 100.0);
   EXPECT_EQ(h.quantile(1.0), h.max_value());
-  EXPECT_EQ(LogHistogram(LogSpec::magnitude(), 0).quantile(0.5), 0.0);
+  EXPECT_EQ(LogHistogram(LogSpec::magnitude()).quantile(0.5), 0.0);
 }
 
 TEST(LogHistogram, MemoryIsOBucketsIndependentOfN) {
-  LogHistogram h(LogSpec::latency_seconds(), 2);
+  LogHistogram h(LogSpec::latency_seconds());
   const std::size_t buckets = h.num_buckets();
   for (int i = 0; i < 100000; ++i) {
     h.observe(std::ldexp(1.0, i % 30 - 15));
@@ -90,81 +89,21 @@ TEST(LogHistogram, MemoryIsOBucketsIndependentOfN) {
   EXPECT_EQ(h.total(), 100000u);
 }
 
-TEST(LogHistogram, ShardedFoldMatchesSerialRecording) {
-  const LogSpec spec = LogSpec::signed_unit();
-  LogHistogram serial(spec, 0);
-  LogHistogram sharded(spec, 4);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = static_cast<double>(i % 201 - 100) / 100.0;
-    serial.observe(v);
-    const util::ShardSlotScope slot(static_cast<std::size_t>(i) % 4);
-    sharded.observe(v);
-  }
-  sharded.fold_shards();
-  EXPECT_EQ(serial.total(), sharded.total());
-  EXPECT_EQ(serial.sum_units(), sharded.sum_units());
-  for (std::size_t i = 0; i < serial.num_buckets(); ++i) {
-    EXPECT_EQ(serial.count(i), sharded.count(i)) << "bucket " << i;
-  }
-}
-
-TEST(LogHistogram, MergeIsOrderIndependent) {
-  // The same observations partitioned two different ways across shards
-  // must fold to identical state: the shard state is integer-only, and
-  // integer addition commutes. This is the bit-identity argument for
-  // --threads 1/2/4/8 in miniature.
-  const LogSpec spec = LogSpec::latency_seconds();
-  LogHistogram a(spec, 8);
-  LogHistogram b(spec, 8);
-  for (int i = 0; i < 512; ++i) {
-    const double v = std::ldexp(1.0 + (i % 7) * 0.1, i % 20 - 10);
-    {
-      const util::ShardSlotScope slot(static_cast<std::size_t>(i) % 8);
-      a.observe(v);
-    }
-    {
-      const util::ShardSlotScope slot(static_cast<std::size_t>(i * 5) % 8);
-      b.observe(v);
-    }
-  }
-  a.fold_shards();
-  b.fold_shards();
-  EXPECT_EQ(a.total(), b.total());
-  EXPECT_EQ(a.sum_units(), b.sum_units());
-  for (std::size_t i = 0; i < a.num_buckets(); ++i) {
-    ASSERT_EQ(a.count(i), b.count(i)) << "bucket " << i;
-  }
-}
-
-TEST(LogHistogram, MergeFromAddsMergedState) {
-  LogHistogram a(LogSpec::magnitude(), 0);
-  LogHistogram b(LogSpec::magnitude(), 2);
-  a.observe(4.0);
-  {
-    const util::ShardSlotScope slot(1);
-    b.observe(4.0);  // lands in a shard; merge_from reads the merged view
-  }
-  a.merge_from(b);
-  EXPECT_EQ(a.total(), 2u);
-  EXPECT_EQ(a.count(a.index_of(4.0)), 2u);
-}
-
-TEST(LogHistogram, ResetClearsBaseAndShards) {
-  LogHistogram h(LogSpec::magnitude(), 2);
+TEST(LogHistogram, ResetClearsCountsAndSum) {
+  LogHistogram h(LogSpec::magnitude());
   h.observe(1.0);
-  {
-    const util::ShardSlotScope slot(1);
-    h.observe(2.0);
-  }
+  h.observe(2.0);
   h.reset();
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.sum_units(), 0);
   EXPECT_EQ(h.max_value(), 0.0);
+  for (std::size_t i = 0; i < h.num_buckets(); ++i) {
+    EXPECT_EQ(h.count(i), 0u) << "bucket " << i;
+  }
 }
 
 TEST(Registry, LogHistogramRegistrationAndSnapshot) {
   Registry r;
-  r.configure_shards(2);
   LogHistogram& h = r.log_histogram("lat", LogSpec::latency_seconds());
   EXPECT_EQ(&h, &r.log_histogram("lat", LogSpec::magnitude()))
       << "later lookups must ignore the spec argument";
@@ -183,34 +122,12 @@ TEST(Registry, LogHistogramRegistrationAndSnapshot) {
   EXPECT_GE(ls.max, 2.0);
 }
 
-TEST(Registry, FoldShardsMergesCountersAndHistograms) {
-  Registry r;
-  r.configure_shards(4);
-  Counter& c = r.counter("events");
-  LogHistogram& h = r.log_histogram("v", LogSpec::magnitude());
-  {
-    const util::ShardSlotScope slot(3);
-    c.inc(7);
-    h.observe(8.0);
-  }
-  // Live merged reads see shard state even before the fold.
-  EXPECT_EQ(c.value(), 7u);
-  EXPECT_EQ(h.total(), 1u);
-  r.fold_shards();
-  EXPECT_EQ(c.value(), 7u);
-  EXPECT_EQ(h.total(), 1u);
-}
-
-TEST(Counter, StoreTotalOverwritesShardsAndBase) {
+TEST(Counter, StoreTotalOverwritesValue) {
   Counter c;
-  c.enable_shards(2);
-  {
-    const util::ShardSlotScope slot(1);
-    c.inc(5);
-  }
+  c.inc(5);
   c.store_total(42);
   EXPECT_EQ(c.value(), 42u);
-  c.inc(1);  // slot 0 shard
+  c.inc(1);
   EXPECT_EQ(c.value(), 43u);
 }
 

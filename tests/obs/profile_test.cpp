@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/concurrency/thread_pool.hpp"
-
 namespace bc::obs {
 namespace {
 
@@ -72,31 +70,13 @@ TEST(ObsProfiler, RecursiveReentryCountsCallsOnceTime) {
         const ScopedTimer c(s, p);
       }
     }
-    // Inner frames counted their calls but did not add time yet: this
-    // thread's recursion depth (thread-local, per site) was still > 0 when
-    // they exited.
+    // Inner frames counted their calls but did not add time yet: the
+    // site's open-frame depth was still > 0 when they exited.
     EXPECT_EQ(s.calls, 2u);
     const std::uint64_t nanos_before_outermost_exit = s.nanos;
     EXPECT_EQ(nanos_before_outermost_exit, 0u);
   }
   EXPECT_EQ(s.calls, 3u);
-}
-
-TEST(ObsProfiler, PoolWorkersTrackRecursionPerThread) {
-  // The recursion guard is thread-local: concurrent nested scopes of one
-  // site on different pool workers each see their own outermost frame, so
-  // every iteration contributes exactly 2 calls (outer + nested re-entry)
-  // no matter how the pool schedules them. Run under TSan this also proves
-  // site()/record() are race-free.
-  Profiler p;
-  p.set_enabled(true);
-  ProfileSite& s = p.site("pooled");
-  util::ThreadPool pool(4);
-  pool.parallel_for(64, [&](std::size_t) {
-    const ScopedTimer outer(s, p);
-    const ScopedTimer nested(s, p);
-  });
-  EXPECT_EQ(s.calls, 128u);
 }
 
 TEST(ObsProfiler, EnableStateIsSampledAtScopeEntry) {
