@@ -6,7 +6,7 @@
 // configuration (fewer peers/swarms, 3 days) when iterating; the qualitative
 // shapes survive the reduction but the reported numbers are then not the
 // paper-scale ones.
-// Observability: every figure bench honours three environment variables —
+// Observability: every figure bench honours four environment variables —
 //   BC_PROFILE=1           enable the scoped profiler, print the per-site
 //                          report at exit
 //   BC_METRICS_OUT=f.json  enable the profiler, dump registry + profile

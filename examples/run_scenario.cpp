@@ -8,6 +8,7 @@
 //   run_scenario --peers 60 --swarms 8 --days 3 --policy ban --delta -0.5
 //   run_scenario --trace mytrace.csv --policy rank --liars 0.2
 //   run_scenario --policy none --csv   # machine-readable output
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -56,36 +57,9 @@ int main(int argc, char** argv) {
   if (flags.get_bool("help", false)) return fail_usage(argv[0]);
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-
-  // --- trace ---------------------------------------------------------
-  trace::Trace tr;
-  if (flags.has("trace")) {
-    std::ifstream in(flags.get("trace", ""));
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", flags.get("trace", "").c_str());
-      return 1;
-    }
-    std::string error;
-    auto loaded = trace::read_csv(in, &error);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "bad trace: %s\n", error.c_str());
-      return 1;
-    }
-    tr = std::move(*loaded);
-  } else {
-    trace::GeneratorConfig tcfg;
-    tcfg.seed = seed;
-    tcfg.num_peers =
-        static_cast<std::size_t>(flags.get_int("peers", 100));
-    tcfg.num_swarms =
-        static_cast<std::size_t>(flags.get_int("swarms", 10));
-    tcfg.duration = flags.get_double("days", 7.0) * kDay;
-    tr = trace::generate(tcfg);
-  }
-  if (flags.has("save-trace")) {
-    std::ofstream out(flags.get("save-trace", ""));
-    trace::write_csv(tr, out);
-  }
+  const std::int64_t peers = flags.get_int("peers", 100);
+  const std::int64_t swarms = flags.get_int("swarms", 10);
+  const double trace_days = flags.get_double("days", 7.0);
 
   // --- scenario ------------------------------------------------------
   community::ScenarioConfig cfg;
@@ -115,10 +89,47 @@ int main(int argc, char** argv) {
   }
   cfg.node.backend = *backend_kind;
   if (!flags.valid()) return fail_usage(argv[0]);
+  // Checked before the size casts below, which would turn a negative count
+  // into about 2^64, and before the generator's own assertions.
+  if (peers < 1 || swarms < 1 || !std::isfinite(trace_days) ||
+      trace_days <= 0.0) {
+    std::fputs("--peers and --swarms must be at least 1, and --days finite "
+               "and positive\n",
+               stderr);
+    return fail_usage(argv[0]);
+  }
   const std::string config_error = cfg.validate();
   if (!config_error.empty()) {
     std::fprintf(stderr, "bad scenario: %s\n", config_error.c_str());
     return 1;
+  }
+
+  // --- trace ---------------------------------------------------------
+  trace::Trace tr;
+  if (flags.has("trace")) {
+    std::ifstream in(flags.get("trace", ""));
+    if (!in) {
+      std::fprintf(stderr, "cannot open %s\n", flags.get("trace", "").c_str());
+      return 1;
+    }
+    std::string error;
+    auto loaded = trace::read_csv(in, &error);
+    if (!loaded.has_value()) {
+      std::fprintf(stderr, "bad trace: %s\n", error.c_str());
+      return 1;
+    }
+    tr = std::move(*loaded);
+  } else {
+    trace::GeneratorConfig tcfg;
+    tcfg.seed = seed;
+    tcfg.num_peers = static_cast<std::size_t>(peers);
+    tcfg.num_swarms = static_cast<std::size_t>(swarms);
+    tcfg.duration = trace_days * kDay;
+    tr = trace::generate(tcfg);
+  }
+  if (flags.has("save-trace")) {
+    std::ofstream out(flags.get("save-trace", ""));
+    trace::write_csv(tr, out);
   }
 
   // --- run -----------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""bc-analyze CLI: the BarterCast project-invariant analyzer.
+"""bc-analyze CLI: the BarterCast repository linter.
 
 Usage:
   scripts/bc_analyze.py [paths...] [--github] [--list-rules] [--version]

@@ -1,4 +1,4 @@
-"""Analysis orchestration: file collection, rule stages, suppression, output."""
+"""Analysis orchestration: file collection, rule scopes, suppression, output."""
 
 from __future__ import annotations
 
@@ -6,16 +6,44 @@ import argparse
 import sys
 from pathlib import Path
 
-from bc_analyze import RULES, RULE_EXEMPT_PREFIXES, __version__
-from bc_analyze.callgraph import Program
+from bc_analyze import RULE_EXEMPT_PREFIXES, RULE_SCOPES, RULES, __version__
 from bc_analyze.model import Finding
 from bc_analyze.rules_capture import check_l3
-from bc_analyze.rules_dataflow import check_d4, check_p1, extra_d4_sources
+from bc_analyze.rules_conventions import (
+    check_c1,
+    check_h1,
+    check_h2,
+    check_h3,
+    check_h4,
+    check_h5,
+)
 from bc_analyze.rules_determinism import check_d1, check_d2, check_d3
 from bc_analyze.rules_graph import check_g1
 from bc_analyze.source import SourceFile, load_source
 
-DEFAULT_PATHS = ["src", "bench", "examples"]
+DEFAULT_PATHS = ["src", "tests", "bench", "examples"]
+
+#: The analyzer's own fixtures: skipped by a walk that starts outside them,
+#: and test data for every rule when they are named explicitly.
+FIXTURES = "tests/analysis_tool/fixtures/"
+
+#: The SourceFile symbol tables D1 also reads across files.
+D1_TABLES = ("unordered_vars", "unordered_fns",
+             "unordered_element_containers", "ordered_vars", "ordered_fns")
+
+#: Every rule except D1, which needs the cross-file name tables.
+PER_FILE_CHECKS = {
+    "D2": check_d2,
+    "D3": check_d3,
+    "G1": check_g1,
+    "L3": check_l3,
+    "C1": check_c1,
+    "H1": check_h1,
+    "H2": check_h2,
+    "H3": check_h3,
+    "H4": check_h4,
+    "H5": check_h5,
+}
 
 
 def collect_files(repo_root: Path, paths: list[str]) -> list[Path]:
@@ -23,8 +51,11 @@ def collect_files(repo_root: Path, paths: list[str]) -> list[Path]:
     for arg in paths:
         p = Path(arg) if Path(arg).is_absolute() else repo_root / arg
         if p.is_dir():
-            files.extend(sorted(p.rglob("*.hpp")))
-            files.extend(sorted(p.rglob("*.cpp")))
+            inside = (relpath(p, repo_root) + "/").startswith(FIXTURES)
+            skip = () if inside else (FIXTURES,)
+            files.extend(
+                f for f in sorted(p.rglob("*.hpp")) + sorted(p.rglob("*.cpp"))
+                if not relpath(f, repo_root).startswith(skip))
         elif p.is_file():
             files.append(p)
         else:
@@ -40,108 +71,95 @@ def relpath(path: Path, repo_root: Path) -> str:
         return path.as_posix()
 
 
-def _exempt(rule: str, rel: str) -> bool:
-    return any(rel.startswith(p) for p in RULE_EXEMPT_PREFIXES.get(rule, ()))
+def applies(rule: str, rel: str) -> bool:
+    if rel.startswith(RULE_EXEMPT_PREFIXES.get(rule, ())):
+        return False
+    scope = RULE_SCOPES.get(rule)
+    return scope is None or rel.startswith(scope + (FIXTURES,))
 
 
 class Analysis:
-    def __init__(self, repo_root: Path):
-        self.repo_root = repo_root
-        self.sources: list[SourceFile] = []
-        # Cross-file name tables: member declarations live in headers while
-        # the loops that iterate them live in .cpp files.
-        self.global_unordered: set[str] = set()
-        self.global_unordered_fns: set[str] = set()
-        self.global_subscript: set[str] = set()
-        self.global_ordered: set[str] = set()
-        self.global_ordered_fns: set[str] = set()
-
-    def load(self, files: list[Path]) -> None:
+    def __init__(self, repo_root: Path, files: list[Path]):
         known = set(RULES)
-        for f in files:
-            sf = load_source(f, relpath(f, self.repo_root), known)
-            self.sources.append(sf)
-            self.global_unordered |= sf.unordered_vars
-            self.global_unordered_fns |= sf.unordered_fns
-            self.global_subscript |= sf.unordered_element_containers
-            self.global_ordered |= sf.ordered_vars
-            self.global_ordered_fns |= sf.ordered_fns
+        self.sources: list[SourceFile] = [
+            load_source(f, relpath(f, repo_root), known) for f in files]
+        # Cross-file name tables, from the files D1 polices only: member
+        # declarations live in headers while the loops that iterate them
+        # live in .cpp files.
+        self.d1_sources = {sf.rel: sf for sf in self.sources
+                           if applies("D1", sf.rel)}
+        self.tables = {attr: set().union(*(getattr(sf, attr)
+                                           for sf in self.d1_sources.values()))
+                       for attr in D1_TABLES}
 
     def _companion(self, sf: SourceFile) -> SourceFile | None:
         """The .hpp for a .cpp (and vice versa): member declarations live in
         the header while the loops that use them live in the
         implementation file, so the pair shares one symbol table."""
-        by_rel = {s.rel: s for s in self.sources}
         if sf.rel.endswith(".cpp"):
-            return by_rel.get(sf.rel[:-4] + ".hpp")
+            return self.d1_sources.get(sf.rel[:-4] + ".hpp")
         if sf.rel.endswith(".hpp"):
-            return by_rel.get(sf.rel[:-4] + ".cpp")
+            return self.d1_sources.get(sf.rel[:-4] + ".cpp")
         return None
 
-    def run_token_rules(self) -> list[Finding]:
+    def d1_findings(self, sf: SourceFile) -> list[Finding]:
         # A name some file declares as an ordered container (or an accessor
         # returning one) does not inherit unordered-ness across files.
-        xfile_unordered = self.global_unordered - self.global_ordered
-        xfile_unordered_fns = (self.global_unordered_fns
-                               - self.global_ordered_fns)
+        comp = self._companion(sf)
+
+        def merged(attr: str) -> set[str]:
+            out = set(getattr(sf, attr))
+            if comp is not None:
+                out |= getattr(comp, attr)
+            return out
+
+        g = self.tables
+        l_unordered = merged("unordered_vars")
+        l_ordered = merged("ordered_vars") - l_unordered
+        names = l_unordered | (
+            g["unordered_vars"] - g["ordered_vars"] - l_ordered)
+        fns = merged("unordered_fns") | (
+            g["unordered_fns"] - g["ordered_fns"] - merged("ordered_fns"))
+        subs = (merged("unordered_element_containers")
+                | g["unordered_element_containers"])
+        return check_d1(sf, names, fns, subs)
+
+    def rule_findings(self) -> list[Finding]:
         findings: list[Finding] = []
         for sf in self.sources:
-            comp = self._companion(sf)
-
-            def merged(attr: str, c=comp, s=sf) -> set[str]:
-                out = set(getattr(s, attr))
-                if c is not None:
-                    out |= getattr(c, attr)
-                return out
-
-            l_unordered = merged("unordered_vars")
-            l_ordered = merged("ordered_vars") - l_unordered
-            d1_names = l_unordered | (xfile_unordered - l_ordered)
-            d1_fns = (merged("unordered_fns")
-                      | (xfile_unordered_fns - merged("ordered_fns")))
-            d1_subs = (merged("unordered_element_containers")
-                       | self.global_subscript)
-            per_rule = {
-                "D1": lambda s=sf: check_d1(s, d1_names, d1_fns, d1_subs),
-                "D2": lambda s=sf: check_d2(s),
-                "D3": lambda s=sf: check_d3(s),
-                "G1": lambda s=sf: check_g1(s),
-                "L3": lambda s=sf: check_l3(s),
-            }
-            for rule, run in per_rule.items():
-                if _exempt(rule, sf.rel):
-                    continue
-                findings.extend(run())
-            for lineno, why in sf.bad_suppressions:
-                findings.append(Finding(
-                    rule="SUP", slug="bad-suppression", path=sf.rel,
-                    line=lineno, message=why))
+            if sf.rel in self.d1_sources:
+                findings.extend(self.d1_findings(sf))
+            for rule, check in PER_FILE_CHECKS.items():
+                if applies(rule, sf.rel):
+                    findings.extend(check(sf))
         return findings
 
-    def run_interprocedural_rules(
-            self, surviving: list[Finding]) -> list[Finding]:
-        """Dataflow rules D4/P1 over the whole-program call graph.
+    def apply_suppressions(
+            self, findings: list[Finding]) -> list[Finding]:
+        by_file: dict[str, SourceFile] = {sf.rel: sf for sf in self.sources}
+        kept: list[Finding] = []
+        for f in findings:
+            sf = by_file.get(f.path)
+            sup = None
+            if sf is not None:
+                sup = next(
+                    (s for s in sf.suppressions if s.covers(f.rule, f.line)),
+                    None)
+            if sup is not None:
+                sup.used = True
+                continue
+            kept.append(f)
+        return kept
 
-        `surviving` are the post-suppression intraprocedural findings:
-        the D1/D2/D3 ones among them seed the D4 taint pass (a suppressed
-        source carries a written proof that its value cannot escape, so it
-        does not taint callers)."""
-        program = Program(self.sources)
-        sources = [(f.path, f.line, RULES[f.rule])
-                   for f in surviving if f.rule in ("D1", "D2", "D3")]
-        for sf in self.sources:
-            if not _exempt("D4", sf.rel):
-                sources.extend(extra_d4_sources(sf))
-        findings: list[Finding] = []
-        findings.extend(check_d4(program, sources, _exempt))
-        findings.extend(check_p1(program, _exempt))
-        return findings
-
-    def stale_suppression_findings(self) -> list[Finding]:
-        """Markers whose rule no longer fires anywhere on their target
-        line. Run after every rule stage has had its chance to use them."""
+    def suppression_findings(self) -> list[Finding]:
+        """Rejected markers, and markers whose rule no longer fires
+        anywhere on their target line. Neither can be suppressed."""
         out: list[Finding] = []
         for sf in self.sources:
+            for lineno, why in sf.bad_suppressions:
+                out.append(Finding(
+                    rule="SUP", slug="bad-suppression", path=sf.rel,
+                    line=lineno, message=why))
             for s in sf.suppressions:
                 if s.used:
                     continue
@@ -156,26 +174,6 @@ class Analysis:
                 ))
         return out
 
-    def apply_suppressions(
-            self, findings: list[Finding]) -> list[Finding]:
-        by_file: dict[str, SourceFile] = {sf.rel: sf for sf in self.sources}
-        kept: list[Finding] = []
-        for f in findings:
-            if f.rule == "SUP":
-                kept.append(f)  # bad markers cannot be suppressed
-                continue
-            sf = by_file.get(f.path)
-            sup = None
-            if sf is not None:
-                sup = next(
-                    (s for s in sf.suppressions if s.covers(f.rule, f.line)),
-                    None)
-            if sup is not None:
-                sup.used = True
-                continue
-            kept.append(f)
-        return kept
-
 
 def _dedupe(findings: list[Finding]) -> list[Finding]:
     seen: set[tuple] = set()
@@ -189,11 +187,27 @@ def _dedupe(findings: list[Finding]) -> list[Finding]:
     return out
 
 
+def analyze(repo_root: Path, paths: list[str]) -> tuple[list[Finding], int, int]:
+    """Runs every rule over `paths` (relative to `repo_root`). Returns the
+    surviving findings, the number of files and of honored suppressions."""
+    files = collect_files(repo_root, paths)
+    analysis = Analysis(repo_root, files)
+    findings = analysis.apply_suppressions(analysis.rule_findings())
+    findings = _dedupe(findings + analysis.suppression_findings())
+    n_sup = sum(
+        1 for sf in analysis.sources for s in sf.suppressions if s.used)
+    return findings, len(files), n_sup
+
+
 def list_rules() -> str:
     lines = ["bc-analyze rule catalogue:"]
     for rule, slug in RULES.items():
-        exempt = RULE_EXEMPT_PREFIXES.get(rule, ())
-        suffix = f"  (exempt: {', '.join(exempt)})" if exempt else ""
+        notes = []
+        if rule in RULE_SCOPES:
+            notes.append(f"scope: {', '.join(RULE_SCOPES[rule])}")
+        if rule in RULE_EXEMPT_PREFIXES:
+            notes.append(f"exempt: {', '.join(RULE_EXEMPT_PREFIXES[rule])}")
+        suffix = f"  ({'; '.join(notes)})" if notes else ""
         lines.append(f"  {rule:4} {slug}{suffix}")
     lines.append(
         "suppress with: // bc-analyze: allow(<rule>[,<rule>]) -- <reason>")
@@ -203,12 +217,14 @@ def list_rules() -> str:
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bc_analyze.py",
-        description=("BarterCast project-invariant analyzer: determinism"
-                     " (D1-D4), dense-index encapsulation (G1), hot-path"
-                     " allocation (P1) and engine callback captures (L3)"))
+        description=("BarterCast repository linter: determinism (D1-D3),"
+                     " dense-index encapsulation (G1), engine callback"
+                     " captures (L3), the single thread (C1) and the house"
+                     " conventions (H1-H5)"))
     parser.add_argument("paths", nargs="*", default=None,
-                        help="files or directories to analyze"
-                             " (default: src bench examples)")
+                        help="files or directories to analyze (default:"
+                             f" {' '.join(DEFAULT_PATHS)}, skipping"
+                             f" {FIXTURES})")
     parser.add_argument("--github", action="store_true",
                         help="emit GitHub annotation commands")
     parser.add_argument("--list-rules", action="store_true",
@@ -224,24 +240,10 @@ def run(argv: list[str], repo_root: Path) -> int:
         print(list_rules())
         return 0
 
-    files = collect_files(repo_root, args.paths or DEFAULT_PATHS)
-    analysis = Analysis(repo_root)
-    analysis.load(files)
-
-    # Suppress the intraprocedural findings first: the survivors seed the
-    # D4 taint pass, then the interprocedural findings get their own
-    # suppression pass, and only then can a marker be declared stale.
-    findings = analysis.apply_suppressions(analysis.run_token_rules())
-    interproc = analysis.run_interprocedural_rules(findings)
-    findings.extend(analysis.apply_suppressions(interproc))
-    findings.extend(analysis.stale_suppression_findings())
-    findings = _dedupe(findings)
-
+    findings, n_files, n_sup = analyze(repo_root, args.paths or DEFAULT_PATHS)
     for f in findings:
         print(f.github() if args.github else f.human())
-    n_sup = sum(
-        1 for sf in analysis.sources for s in sf.suppressions if s.used)
-    summary = (f"bc-analyze: {len(findings)} finding(s) in {len(files)}"
+    summary = (f"bc-analyze: {len(findings)} finding(s) in {n_files}"
                f" files ({n_sup} suppression(s) honored)")
     if not findings:
         summary = summary.replace("0 finding(s)", "OK, 0 findings")

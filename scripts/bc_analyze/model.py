@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 class Finding:
     """One rule violation, anchored to a file and 1-based line."""
 
-    rule: str  # "D1", "P1", ..., "SUP"
+    rule: str  # "D1", "H3", ..., "SUP"
     slug: str  # human-readable rule name, e.g. "unordered-iteration"
     path: str  # repo-relative path
     line: int

@@ -5,11 +5,13 @@ D1 unordered-iteration: every peer must derive the same subjective graph
    across standard-library implementations. std::unordered_map/set
    iteration order is implementation-defined, so loops over them must be
    routed through bc::util::sorted_view (or collect-and-sort and carry a
-   suppression explaining the total order).
+   suppression explaining the total order). An order or hash over pointer
+   values is reported too: addresses differ between runs and machines.
 D2 wall-clock: simulation state must depend only on Engine time, never on
    the host clock, or replays stop being bit-identical.
 D3 unseeded-random: all randomness flows through the seeded bc::Rng;
-   std::random_device and ad-hoc <random> engines break seeded replay.
+   std::random_device, libc rand and ad-hoc <random> engines break seeded
+   replay.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from bc_analyze.source import (
 FOR_RE = re.compile(r"\bfor\s*\(")
 SORTED_WRAPPER_RE = re.compile(r"^(?:bc::)?(?:util::)?sorted_(?:view|keys)\s*\(")
 BEGIN_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
+PTR_ORDER_RE = re.compile(
+    r"\bstd::less\s*<[^<>]*\*\s*>|\bstd::hash\s*<[^<>]*\*\s*>"
+    r"|\breinterpret_cast\s*<\s*(?:std::)?u?intptr_t\s*>")
 
 
 def _range_for_findings(sf: SourceFile, unordered_names: set[str],
@@ -86,6 +91,19 @@ def _iterator_findings(sf: SourceFile,
     return out
 
 
+def _pointer_order_findings(sf: SourceFile) -> list[Finding]:
+    return [
+        Finding(rule="D1", slug="unordered-iteration", path=sf.rel,
+                line=lineno,
+                message=(f"pointer-order `{m.group(0).strip()}`: addresses"
+                         " differ between runs and machines, so an order or"
+                         " hash over them is not reproducible; key on a"
+                         " stable id"))
+        for lineno, code in enumerate(sf.code_lines, start=1)
+        for m in PTR_ORDER_RE.finditer(code)
+    ]
+
+
 def _top_level_colon(header: str) -> int:
     """Offset of the range-for `:` in a for-header, skipping `::`."""
     depth = 0
@@ -119,7 +137,8 @@ def check_d1(sf: SourceFile, names: set[str], fns: set[str],
     minus names this file (or its companion) declares as an ordered
     container."""
     return (_range_for_findings(sf, names, fns, subs)
-            + _iterator_findings(sf, names))
+            + _iterator_findings(sf, names)
+            + _pointer_order_findings(sf))
 
 
 # --- D2 ---------------------------------------------------------------------
@@ -151,7 +170,7 @@ RANDOM_RE = re.compile(
     r"std::random_device"
     r"|std::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine"
     r"|ranlux(?:24|48)(?:_base)?|knuth_b)\b"
-    r"|(?<![\w:.])s?rand\s*\("
+    r"|\bstd::s?rand\b|(?<![\w:.])s?rand\s*\("
 )
 
 

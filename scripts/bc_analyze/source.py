@@ -98,16 +98,14 @@ def match_angle(text: str, open_idx: int) -> int:
     return -1
 
 
-def match_paren(text: str, open_idx: int, close: str = ")") -> int:
-    """Index of the bracket matching the one at open_idx, or -1."""
-    pairs = {")": "(", "]": "[", "}": "{"}
-    opener = pairs[close]
+def match_paren(text: str, open_idx: int) -> int:
+    """Index of the `)` matching the `(` at open_idx, or -1."""
     depth = 0
     for i in range(open_idx, len(text)):
         c = text[i]
-        if c == opener:
+        if c == "(":
             depth += 1
-        elif c == close:
+        elif c == ")":
             depth -= 1
             if depth == 0:
                 return i

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Static-analysis runner: clang-tidy (when available) over the whole tree,
-# then the repo-convention checker, then bc-analyze (the project-invariant
-# analyzer). All stages must be clean for the script to exit 0; CI runs this
-# as a gating job.
+# then bc-analyze, the repository linter. Both stages must be clean for the
+# script to exit 0.
 #
 # Usage:
 #   scripts/lint.sh [--build-dir DIR] [--strict] [paths...]
@@ -13,7 +12,7 @@
 #   --strict         fail (exit 2) when clang-tidy is not installed instead
 #                    of skipping the clang-tidy stage with a warning
 #   paths            files or directories to lint (default: src tests bench
-#                    examples)
+#                    examples; the analyzer's fixtures are skipped)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -84,22 +83,16 @@ else
     exit 2
   fi
 
-  mapfile -t sources < <(find "${paths[@]}" -name '*.cpp' -type f | sort)
+  mapfile -t sources < <(find "${paths[@]}" -name '*.cpp' -type f \
+                           -not -path '*/analysis_tool/fixtures/*' | sort)
   echo "lint.sh: clang-tidy ($clang_tidy) over ${#sources[@]} files" >&2
   if ! "$clang_tidy" -p "$build_dir" --quiet "${sources[@]}"; then
     status=1
   fi
 fi
 
-# --- stage 2: repo conventions ----------------------------------------------
-if ! python3 scripts/check_conventions.py "${paths[@]}"; then
-  status=1
-fi
-
-# --- stage 3: bc-analyze (project invariants) ---------------------------------
-# bc-analyze owns its scope (src bench examples): tests/ contains the
-# analyzer's intentionally-bad fixtures, so the lint paths are not forwarded.
-if ! python3 scripts/bc_analyze.py; then
+# --- stage 2: bc-analyze ----------------------------------------------------
+if ! python3 scripts/bc_analyze.py "${paths[@]}"; then
   status=1
 fi
 

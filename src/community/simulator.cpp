@@ -310,7 +310,6 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
       const Bytes moved = u_is_seed ? ctx.swarm.last_round_bytes(u, v)
                                     : ctx.swarm.last_round_bytes(v, u);
       c.rate = static_cast<Rate>(moved) / dt;
-      // bc-analyze: allow(P1) -- the gossip backend's score sweep is memoized per view version inside DifferentialGossipBackend, so its buffers are rebuilt once per view mutation, not per choke decision; the maxflow backend allocates nothing here
       c.reputation = use_reputation ? choker_reputation(u, v) : 0.0;
       candidates.push_back(c);
     }
@@ -362,11 +361,9 @@ void CommunitySimulator::round() {
   std::size_t total_online = 0;
   for (SwarmId s = 0; s < swarms_.size(); ++s) {
     for (PeerId m : swarms_[s]->swarm.members()) {
-      // bc-analyze: allow(P1) -- per-round membership snapshot in the driver, O(members) once per round; the per-edge kernels it feeds are the paths P1 protects
       if (overlay_.online(m)) online_members[s].push_back(m);
     }
     total_online += online_members[s].size();
-    // bc-analyze: allow(P1) -- transitive image of choke_swarm's suppressed gossip-backend memo rebuild (amortized once per view version)
     choke_swarm(s, online_members[s]);
   }
 
@@ -380,7 +377,7 @@ void CommunitySimulator::round() {
   std::vector<bt::LinkRequest> requests;
   // Upper bound: every online peer can hold `regular_slots` regular unchokes
   // plus one optimistic; pre-sizing keeps the collection loop off the
-  // allocator (rule P1).
+  // allocator.
   const std::size_t max_links =
       total_online * (static_cast<std::size_t>(config_.regular_slots) + 1);
   links.reserve(max_links);
@@ -397,7 +394,6 @@ void CommunitySimulator::round() {
         if (!overlay_.can_communicate(u, v)) return;
         if (!ctx.swarm.interested(v, u)) return;
         const std::uint64_t key = pair_key(u, v);
-        // bc-analyze: allow(P1) -- active_now is move-assigned into ctx.prev_active at the end of the swarm pass, so it cannot be a reusable buffer; it is bounded by this round's unchoke slots
         if (!active_now.insert(key).second) return;
         links.push_back({s, u, v});
         requests.push_back({u, v});
@@ -431,9 +427,7 @@ void CommunitySimulator::round() {
         swarms_[l.swarm]->swarm.transfer(l.uploader, l.downloader, budget);
     if (moved <= 0) continue;
     bytes_moved.inc(static_cast<std::uint64_t>(moved));
-    // bc-analyze: allow(P1) -- FlowGraph::add_capacity allocates only when a previously-unseen edge appears in the ledger; repeat transfers on an edge take the in-place update path
     peer(l.uploader).node->on_bytes_sent(l.downloader, moved, now);
-    // bc-analyze: allow(P1) -- same as on_bytes_sent: new-edge inserts only, amortized over the life of the peer pair
     peer(l.downloader).node->on_bytes_received(l.uploader, moved, now);
     peer(l.uploader).total_up += moved;
     peer(l.downloader).total_down += moved;
@@ -455,7 +449,6 @@ void CommunitySimulator::round() {
     std::vector<PeerId> expired;
     // bc-analyze: allow(D1) -- collected ids are fully re-sorted below before any state changes
     for (const auto& [p, until] : ctx->seed_until) {
-      // bc-analyze: allow(P1) -- per-round expiry sweep, bounded by the swarm's seeding peers; runs once per round in the driver, not per transfer
       if (now >= until) expired.push_back(p);
     }
     std::sort(expired.begin(), expired.end());

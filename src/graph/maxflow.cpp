@@ -83,7 +83,7 @@ class Residual {
 
 /// Search scratch reused across queries and augmentation rounds: the
 /// reputation sweep calls the maxflow entry points once per subject, and
-/// none of them may pay the allocator per iteration (bc-analyze rule P1).
+/// none of them pays the allocator per iteration.
 /// Buffers grow to the high-water mark once and are reset with
 /// assign()/clear(); one instance serves the process, which runs on one
 /// thread (DESIGN.md §10). `frontier` holds one candidate list per DFS
@@ -152,9 +152,6 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
     visited.assign(g.index().slot_count(), 0);
     path.clear();
     path.push_back(s);
-    // bc-analyze: allow(P1) -- dfs candidate lists are per-depth scratch in
-    // SearchScratch: they grow to the high-water mark once and are reused
-    // across queries, steady-state allocation-free
     if (!dfs_find_path(g, res, s, t, max_path_edges, visited, path,
                        scratch.frontier, 0)) {
       break;

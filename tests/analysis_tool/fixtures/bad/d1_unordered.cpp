@@ -21,3 +21,15 @@ std::vector<int> export_order() {
   }
   return out;
 }
+
+class Graph {
+ public:
+  std::vector<int> nodes() const {
+    std::vector<int> out;
+    for (const auto& [id, cap] : adj_) out.push_back(id);  // line 29
+    return out;
+  }
+
+ private:
+  std::unordered_map<int, int> adj_;  // declared below its use
+};

@@ -11,3 +11,8 @@ int roll() {
 int roll_legacy() {
   return rand() % 6;  // line 12
 }
+
+int roll_std() {
+  std::srand(7u);          // line 16
+  return std::rand() % 6;  // line 17
+}

@@ -1,4 +1,4 @@
-// check_conventions fixture: raw concurrency primitives in src/ (rule
+// bc-analyze fixture: raw concurrency primitives in src/ (rule
 // raw-primitive, C1).
 #include <atomic>
 #include <condition_variable>

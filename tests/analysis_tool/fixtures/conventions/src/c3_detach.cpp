@@ -1,4 +1,4 @@
-// check_conventions fixture: detached and asynchronous execution, which the
+// bc-analyze fixture: detached and asynchronous execution, which the
 // raw-primitive rule (C1) now covers too.
 #include <future>
 #include <thread>

@@ -1,4 +1,4 @@
-// check_conventions fixture: no directory under src/ is exempt from the
+// bc-analyze fixture: no directory under src/ is exempt from the
 // raw-primitive rule (C1) any more, so a raw thread here is reported.
 #include <thread>
 

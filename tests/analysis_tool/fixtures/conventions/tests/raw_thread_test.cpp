@@ -1,4 +1,4 @@
-// check_conventions fixture: tests/ is outside the raw-primitive scope, so
+// bc-analyze fixture: tests/ is outside the raw-primitive scope, so
 // a test may start a raw thread to provoke a race check.
 #include <thread>
 
