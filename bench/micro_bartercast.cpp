@@ -39,6 +39,21 @@ void BM_BuildMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildMessage)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
+void BM_SeenThenBuild(benchmark::State& state) {
+  // A Service's per-datagram path: mark the sender seen, then build the
+  // reply. Each update moves one peer to the front of the Nr order.
+  const auto size = static_cast<std::size_t>(state.range(0));
+  auto node = make_busy_node(0, size, 5);
+  Rng rng(6);
+  Seconds t = 1e6;
+  for (auto _ : state) {
+    node.on_peer_seen(static_cast<PeerId>(1000 + rng.index(size)), t);
+    benchmark::DoNotOptimize(node.make_message(t));
+    t += 1.0;
+  }
+}
+BENCHMARK(BM_SeenThenBuild)->Arg(100)->Arg(2000)->Arg(20000);
+
 void BM_ApplyMessage(benchmark::State& state) {
   // Fresh receiver applying the same 20-record message repeatedly measures
   // the max-merge upsert path.

@@ -6,6 +6,8 @@
 //      exactly what the encoder emits.
 //   2. Round-trip: decoding the re-encoded bytes succeeds and yields a
 //      message equal field-for-field to the first decode.
+//   3. Safe merge: applying the message to a Node keeps its subjective
+//      graph's invariants (e.g. no node for kInvalidPeer).
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -15,6 +17,7 @@
 
 #include "bartercast/codec.hpp"
 #include "bartercast/message.hpp"
+#include "bartercast/node.hpp"
 
 namespace {
 void require(bool ok) {
@@ -41,5 +44,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   require(std::bit_cast<std::uint64_t>(again->sent_at) ==
           std::bit_cast<std::uint64_t>(msg->sent_at));
   require(again->records == msg->records);
+
+  Node node(1);
+  node.receive_message(*msg);
+  require(node.view().graph().check_invariants());
   return 0;
 }

@@ -6,38 +6,21 @@
 
 namespace bc::bartercast {
 
-namespace {
-
-/// The deduplicated Nh + Nr peer selection of §3.4.
-std::vector<PeerId> select_peers(const PrivateHistory& history,
-                                 const MessageSelection& selection) {
-  std::vector<PeerId> peers = history.top_uploaders(selection.nh);
-  for (PeerId p : history.most_recent(selection.nr)) {
-    if (std::find(peers.begin(), peers.end(), p) == peers.end()) {
-      peers.push_back(p);
-    }
-  }
-  return peers;
-}
-
-}  // namespace
-
 BarterCastMessage build_message(const PrivateHistory& history,
                                 const MessageSelection& selection,
                                 Seconds now) {
   BarterCastMessage msg;
   msg.sender = history.owner();
   msg.sent_at = now;
-  for (PeerId p : select_peers(history, selection)) {
-    const HistoryEntry* e = history.find(p);
-    BC_ASSERT(e != nullptr);
-    BarterRecord r;
-    r.subject = history.owner();
-    r.other = p;
-    r.subject_to_other = e->uploaded;
-    r.other_to_subject = e->downloaded;
-    msg.records.push_back(r);
-  }
+  // An upper bound on the deduplicated count, so the records grow once.
+  const std::size_t size = history.size();
+  msg.records.reserve(std::min(size, std::min(selection.nh, size) +
+                                         std::min(selection.nr, size)));
+  history.for_each_selected(
+      selection.nh, selection.nr, [&](const HistoryEntry& e) {
+        msg.records.push_back(
+            BarterRecord{history.owner(), e.peer, e.uploaded, e.downloaded});
+      });
   return msg;
 }
 

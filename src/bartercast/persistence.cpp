@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <limits>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -81,9 +81,9 @@ std::unique_ptr<Node> load_node(std::istream& is, const NodeConfig& config,
   };
 
   // Ids come from an untrusted file as int64; anything outside PeerId's
-  // range would truncate in the cast below, so such records are rejected.
-  constexpr std::int64_t kMaxId =
-      static_cast<std::int64_t>(std::numeric_limits<PeerId>::max());
+  // range would truncate in the cast below, and kInvalidPeer names no one
+  // (the graph marks free slots with it), so such records are rejected.
+  constexpr std::int64_t kMaxId = static_cast<std::int64_t>(kInvalidPeer) - 1;
 
   std::string line;
   std::size_t line_no = 0;
@@ -117,10 +117,15 @@ std::unique_ptr<Node> load_node(std::istream& is, const NodeConfig& config,
           !parse_double(fields[4], seen)) {
         return bad();
       }
-      if (up < 0 || down < 0) return bad();
+      // Both selection orders of §3.4 need a total order on last_seen.
+      if (up < 0 || down < 0 || !std::isfinite(seen)) return bad();
       if (peer < 0 || peer > kMaxId) return bad();
       const auto remote = static_cast<PeerId>(peer);
-      if (remote == node->id()) return bad();
+      // save_node writes each peer once; a repeat would add to the first
+      // line's counts and could wrap them.
+      if (remote == node->id() || node->history().contains(remote)) {
+        return bad();
+      }
       if (up > 0) node->on_bytes_sent(remote, up, seen);
       if (down > 0) node->on_bytes_received(remote, down, seen);
       if (up == 0 && down == 0) node->on_peer_seen(remote, seen);

@@ -42,8 +42,11 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
     const BarterCastMessage& message) {
   ApplyStats stats;
   for (const BarterRecord& r : message.records) {
-    // Rule 2: a record must involve its sender.
-    if (r.subject != message.sender && r.other != message.sender) {
+    // Rule 2: a record must involve its sender. kInvalidPeer names no
+    // one (and marks free graph slots), so a record naming it reports on
+    // no real pair and is dropped with the third-party records.
+    if ((r.subject != message.sender && r.other != message.sender) ||
+        r.subject == kInvalidPeer || r.other == kInvalidPeer) {
       ++stats.dropped_third_party;
       continue;
     }

@@ -9,7 +9,8 @@
 //     private history which itself cannot be manipulated by others" (§3.4).
 //     Gossip claims about them are ignored.
 //  2. A message record must involve its sender (a peer reports its *own*
-//     history). Third-party records are dropped.
+//     history). Third-party records, and records naming kInvalidPeer, are
+//     dropped.
 //
 // Gossiped records carry cumulative totals, so re-applying a newer message
 // from the same sender must not double count: remote claims are merged with
@@ -40,7 +41,7 @@ class SharedHistory {
 
   struct ApplyStats {
     std::size_t applied = 0;           // records merged into the graph
-    std::size_t dropped_third_party = 0;
+    std::size_t dropped_third_party = 0;  // or naming kInvalidPeer
     std::size_t dropped_own_edge = 0;  // claims about owner-incident edges
     std::size_t dropped_self_report = 0;  // record about (sender, sender)
   };

@@ -61,12 +61,12 @@ void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
     // trust the remote ledger to stay inside int64.
     it->cap = util::saturating_add(it->cap, amount);
     adj_lower_bound(in_[ti], from)->cap = it->cap;
-    caps_.insert_or_assign(fi, to, it->cap);
+    caps_.insert_or_assign(from, to, it->cap);
   } else {
     adj.insert(it, Edge{to, amount});
     auto& mirror = in_[ti];
     mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
-    caps_.insert_or_assign(fi, to, amount);
+    caps_.insert_or_assign(from, to, amount);
     ++num_edges_;
     ++gen_;
   }
@@ -84,7 +84,7 @@ void FlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
     if (present) {
       adj.erase(it);
       adj_erase(in_[ti], from);
-      caps_.erase(fi, to);
+      caps_.erase(from, to);
       --num_edges_;
       ++gen_;
     }
@@ -100,13 +100,11 @@ void FlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
     ++num_edges_;
     ++gen_;
   }
-  caps_.insert_or_assign(fi, to, amount);
+  caps_.insert_or_assign(from, to, amount);
 }
 
 Bytes FlowGraph::capacity(PeerId from, PeerId to) const {
-  const NodeIndex fi = index_.find(from);
-  if (fi == kNoNode) return 0;
-  const Bytes* cap = caps_.find(fi, to);
+  const Bytes* cap = caps_.find(from, to);
   return cap == nullptr ? 0 : *cap;
 }
 
@@ -167,13 +165,13 @@ void FlowGraph::remove_node(PeerId node) {
   // Drop outgoing edges and their reverse index entries.
   for (const Edge& e : out_[slot]) {
     adj_erase(in_[index_.find(e.peer)], node);
-    caps_.erase(slot, e.peer);
+    caps_.erase(node, e.peer);
     --num_edges_;
   }
   // Drop incoming edges.
   for (const Edge& e : in_[slot]) {
     adj_erase(out_[index_.find(e.peer)], node);
-    caps_.erase(index_.find(e.peer), node);
+    caps_.erase(e.peer, node);
     --num_edges_;
   }
   out_[slot].clear();
@@ -221,7 +219,7 @@ bool FlowGraph::check_invariants() const {
       const Edge* mirror = adj_find(in_[to], id);
       if (mirror == nullptr || mirror->cap != e.cap) return false;
       // The point-query sidecar must agree with the adjacency array.
-      const Bytes* side = caps_.find(slot, e.peer);
+      const Bytes* side = caps_.find(id, e.peer);
       if (side == nullptr || *side != e.cap) return false;
       ++edges;
     }

@@ -194,7 +194,7 @@ class FlowGraph {
   std::span<const Edge> edges_of(const std::vector<std::vector<Edge>>& side,
                                  PeerId node) const;
 
-  /// Flat open-addressing sidecar mapping (tail slot, head PeerId) to the
+  /// Flat open-addressing sidecar mapping (tail PeerId, head PeerId) to the
   /// edge capacity. The sorted adjacency arrays stay the source of truth
   /// for every iteration surface (merge scans, spans, determinism); the
   /// sidecar exists solely so the point query `capacity(from, to)` is a
@@ -203,7 +203,7 @@ class FlowGraph {
   /// the table tombstone-free under set_capacity(.., 0) and remove_node.
   class CapSidecar {
    public:
-    const Bytes* find(NodeIndex from, PeerId to) const {
+    const Bytes* find(PeerId from, PeerId to) const {
       if (cells_.empty()) return nullptr;
       const std::uint64_t key = key_of(from, to);
       std::size_t i = hash_of(key) & mask_;
@@ -214,7 +214,7 @@ class FlowGraph {
       return nullptr;
     }
 
-    void insert_or_assign(NodeIndex from, PeerId to, Bytes cap) {
+    void insert_or_assign(PeerId from, PeerId to, Bytes cap) {
       if ((size_ + 1) * 4 > cells_.size() * 3) grow();
       const std::uint64_t key = key_of(from, to);
       std::size_t i = hash_of(key) & mask_;
@@ -229,7 +229,7 @@ class FlowGraph {
       ++size_;
     }
 
-    void erase(NodeIndex from, PeerId to) {
+    void erase(PeerId from, PeerId to) {
       if (cells_.empty()) return;
       const std::uint64_t key = key_of(from, to);
       std::size_t hole = hash_of(key) & mask_;
@@ -271,9 +271,10 @@ class FlowGraph {
     };
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-    // Slot numbers never reach kNoNode, so the packed key can never
-    // collide with the empty sentinel.
-    static std::uint64_t key_of(NodeIndex from, PeerId to) {
+    // The sentinel packs the self-edge (kInvalidPeer, kInvalidPeer), which
+    // add_capacity/set_capacity reject, so no stored key can collide with
+    // it (and find() of that pair stops at the first free cell).
+    static std::uint64_t key_of(PeerId from, PeerId to) {
       return (std::uint64_t{from} << 32) | std::uint64_t{to};
     }
 
@@ -305,7 +306,7 @@ class FlowGraph {
   PeerIndex index_;
   std::vector<std::vector<Edge>> out_;  // slot -> sorted out-adjacency
   std::vector<std::vector<Edge>> in_;   // slot -> sorted in-adjacency
-  CapSidecar caps_;                     // (slot, head) -> capacity
+  CapSidecar caps_;                     // (tail, head) -> capacity
   std::size_t num_edges_ = 0;
   std::uint64_t gen_ = 0;  // see generation()
 };

@@ -79,11 +79,19 @@ class Rng {
     if (range == 0) {  // full 64-bit range
       return static_cast<std::int64_t>((*this)());
     }
-    // Bounded generation with rejection to avoid modulo bias.
-    const std::uint64_t limit = max() - max() % range;
+    // Bounded generation with rejection to avoid modulo bias: draws at or
+    // above limit = max() - max() % range are redrawn. The limit exceeds
+    // max() - range, so only a draw past that needs it computed; the
+    // values and the stream are those of testing every draw.
     std::uint64_t v = (*this)();
-    while (v >= limit) v = (*this)();
-    return lo + static_cast<std::int64_t>(v % range);
+    if (v > max() - range) {
+      const std::uint64_t limit = max() - max() % range;
+      while (v >= limit) v = (*this)();
+    }
+    // The sum lies in [lo, hi], but v % range passes INT64_MAX for spans
+    // past 2^63, so it is formed in unsigned space (no signed overflow).
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     v % range);
   }
 
   /// Bernoulli draw with probability p of returning true.

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "bartercast/history.hpp"
@@ -19,37 +22,62 @@ namespace {
 
 constexpr PeerId kOwner = 5;
 
+/// (downloaded desc, peer asc): the Nh order.
+struct UploadedMore {
+  bool operator()(const HistoryEntry& a, const HistoryEntry& b) const {
+    if (a.downloaded != b.downloaded) return a.downloaded > b.downloaded;
+    return a.peer < b.peer;
+  }
+};
+
+/// (last_seen desc, peer asc): the Nr order.
+struct SeenLater {
+  bool operator()(const HistoryEntry& a, const HistoryEntry& b) const {
+    if (a.last_seen > b.last_seen) return true;
+    if (a.last_seen < b.last_seen) return false;
+    return a.peer < b.peer;
+  }
+};
+
+/// The first n peers of `sorted`.
+template <typename Range>
+std::vector<PeerId> first_peers(const Range& sorted, std::size_t n) {
+  std::vector<PeerId> out;
+  for (const HistoryEntry& e : sorted) {
+    if (out.size() == n) break;
+    out.push_back(e.peer);
+  }
+  return out;
+}
+
 /// The first n peers of a full sort by (downloaded desc, peer asc).
 std::vector<PeerId> reference_top_uploaders(std::vector<HistoryEntry> all,
                                             std::size_t n) {
-  std::sort(all.begin(), all.end(),
-            [](const HistoryEntry& a, const HistoryEntry& b) {
-              if (a.downloaded != b.downloaded) {
-                return a.downloaded > b.downloaded;
-              }
-              return a.peer < b.peer;
-            });
-  std::vector<PeerId> out;
-  for (std::size_t i = 0; i < all.size() && i < n; ++i) {
-    out.push_back(all[i].peer);
-  }
-  return out;
+  std::sort(all.begin(), all.end(), UploadedMore{});
+  return first_peers(all, n);
 }
 
 /// The first n peers of a full sort by (last_seen desc, peer asc).
 std::vector<PeerId> reference_most_recent(std::vector<HistoryEntry> all,
                                           std::size_t n) {
-  std::sort(all.begin(), all.end(),
-            [](const HistoryEntry& a, const HistoryEntry& b) {
-              if (a.last_seen > b.last_seen) return true;
-              if (a.last_seen < b.last_seen) return false;
-              return a.peer < b.peer;
-            });
-  std::vector<PeerId> out;
-  for (std::size_t i = 0; i < all.size() && i < n; ++i) {
-    out.push_back(all[i].peer);
+  std::sort(all.begin(), all.end(), SeenLater{});
+  return first_peers(all, n);
+}
+
+/// The records of §3.4 for the given selections: the `top` peers, then the
+/// `recent` ones not among them, each with the model's byte counts.
+std::vector<BarterRecord> reference_records(
+    const std::map<PeerId, HistoryEntry>& model, std::vector<PeerId> top,
+    const std::vector<PeerId>& recent) {
+  for (PeerId p : recent) {
+    if (std::find(top.begin(), top.end(), p) == top.end()) top.push_back(p);
   }
-  return out;
+  std::vector<BarterRecord> records;
+  for (PeerId p : top) {
+    const HistoryEntry& e = model.at(p);
+    records.push_back({kOwner, p, e.uploaded, e.downloaded});
+  }
+  return records;
 }
 
 /// The message build of §3.4 over a model history: top-Nh, then the Nr
@@ -59,19 +87,12 @@ BarterCastMessage reference_build(const std::map<PeerId, HistoryEntry>& model,
                                   Seconds now) {
   std::vector<HistoryEntry> all;
   for (const auto& [_, e] : model) all.push_back(e);
-  std::vector<PeerId> peers = reference_top_uploaders(all, selection.nh);
-  for (PeerId p : reference_most_recent(all, selection.nr)) {
-    if (std::find(peers.begin(), peers.end(), p) == peers.end()) {
-      peers.push_back(p);
-    }
-  }
   BarterCastMessage msg;
   msg.sender = kOwner;
   msg.sent_at = now;
-  for (PeerId p : peers) {
-    const HistoryEntry& e = model.at(p);
-    msg.records.push_back({kOwner, p, e.uploaded, e.downloaded});
-  }
+  msg.records =
+      reference_records(model, reference_top_uploaders(all, selection.nh),
+                        reference_most_recent(all, selection.nr));
   return msg;
 }
 
@@ -182,6 +203,152 @@ TEST(HistorySelection, EntriesStaySortedByPeerAfterInterleavedInserts) {
       EXPECT_EQ(h.downloaded_from(peer), m.downloaded);
     }
     EXPECT_FALSE(h.contains(kOwner));
+  }
+}
+
+/// A model history with the full sort of both orders kept by a balanced
+/// tree (one std::set per order), so reading the first n after every
+/// mutation costs O(n) rather than a sort.
+class SortedModel {
+ public:
+  enum Kind { kDownload, kUpload, kTouch };
+
+  void apply(Kind kind, PeerId peer, Bytes amount, Seconds now) {
+    const auto [it, inserted] = entries_.try_emplace(peer);
+    HistoryEntry& e = it->second;
+    if (inserted) {
+      e.peer = peer;
+      e.last_seen = now;
+    } else {
+      by_upload_.erase(e);
+      by_seen_.erase(e);
+    }
+    e.last_seen = std::max(e.last_seen, now);
+    if (kind == kDownload) e.downloaded += amount;
+    if (kind == kUpload) e.uploaded += amount;
+    by_upload_.insert(e);
+    by_seen_.insert(e);
+  }
+
+  std::vector<PeerId> top(std::size_t n) const {
+    return first_peers(by_upload_, n);
+  }
+  std::vector<PeerId> recent(std::size_t n) const {
+    return first_peers(by_seen_, n);
+  }
+  const std::map<PeerId, HistoryEntry>& entries() const { return entries_; }
+
+ private:
+  std::map<PeerId, HistoryEntry> entries_;
+  std::set<HistoryEntry, UploadedMore> by_upload_;
+  std::set<HistoryEntry, SeenLater> by_seen_;
+};
+
+/// One history under test with its model and its own mutation stream.
+struct Stream {
+  PrivateHistory history{kOwner};
+  SortedModel model;
+  std::vector<PeerId> known;
+  Rng rng;
+  std::size_t asked = 0;  // largest n asked so far
+
+  /// One record_upload, record_download or touch: a new peer while the
+  /// history is below `target`, else mostly known ones. Timestamps advance
+  /// one second per 16 steps, so most updates share `now`, and some are
+  /// older than the peer's last_seen.
+  void mutate(std::size_t step, std::size_t target) {
+    PeerId peer = 0;
+    if (known.size() < target && (known.empty() || rng.chance(0.7))) {
+      do {
+        peer = static_cast<PeerId>(rng.uniform_int(0, 1'000'000));
+      } while (peer == kOwner || history.contains(peer));
+      known.push_back(peer);
+    } else {
+      peer = known[rng.index(known.size())];
+    }
+    Seconds now = static_cast<Seconds>(step / 16);
+    if (rng.chance(0.1)) now -= static_cast<Seconds>(rng.uniform_int(1, 3));
+    const Bytes amount = rng.uniform_int(0, 3) * kMiB;
+    const auto kind = static_cast<SortedModel::Kind>(rng.index(3));
+    switch (kind) {
+      case SortedModel::kDownload:
+        history.record_download(peer, amount, now);
+        break;
+      case SortedModel::kUpload:
+        history.record_upload(peer, amount, now);
+        break;
+      case SortedModel::kTouch:
+        history.touch(peer, now);
+        break;
+    }
+    model.apply(kind, peer, amount, now);
+  }
+
+  /// 0, 1 and 10; once per 40 steps one past every n asked so far; then
+  /// down again. `everything` asks for the whole history plus 5.
+  std::size_t next_n(std::size_t step, bool everything) {
+    static constexpr std::size_t kCycle[] = {0, 1, 10, 10, 1, 0, 3, 10};
+    std::size_t n = kCycle[step % std::size(kCycle)];
+    if (step % 40 == 7) n = asked + 1;
+    if (everything) n = history.size() + 5;
+    asked = std::max(asked, n);
+    return n;
+  }
+};
+
+/// After every mutation: both selections and the message build equal the
+/// sorted model, with the build sometimes asking first (so it is the call
+/// that rebuilds past the kept count); every 97 steps, also a full sort.
+void check(Stream& s, std::size_t step, bool everything = false) {
+  const std::size_t nh = s.next_n(step, everything);
+  const std::size_t nr = s.next_n(step + 3, false);
+  const auto now = static_cast<Seconds>(step);
+  const auto check_build = [&] {
+    const BarterCastMessage msg = build_message(s.history, {nh, nr}, now);
+    ASSERT_EQ(msg.records,
+              reference_records(s.model.entries(), s.model.top(nh),
+                                s.model.recent(nr)))
+        << "step " << step << " nh " << nh << " nr " << nr;
+  };
+  if (step % 2 == 1) check_build();
+  ASSERT_EQ(s.history.top_uploaders(nh), s.model.top(nh))
+      << "step " << step << " n " << nh;
+  ASSERT_EQ(s.history.most_recent(nr), s.model.recent(nr))
+      << "step " << step << " n " << nr;
+  if (step % 2 == 0) check_build();
+  if (step % 97 == 0) {
+    const std::vector<HistoryEntry> all = s.history.entries();
+    ASSERT_EQ(s.history.top_uploaders(nh), reference_top_uploaders(all, nh));
+    ASSERT_EQ(s.history.most_recent(nr), reference_most_recent(all, nr));
+  }
+}
+
+TEST(HistorySelection, LeadersStayExactUnderInterleavedUpdates) {
+  for (std::size_t target : {1u, 2u, 10u, 11u, 64u, 500u, 3000u}) {
+    SCOPED_TRACE("target " + std::to_string(target));
+    Stream a;
+    a.rng = Rng(target);
+    // First half: one history. Then copy it and mutate both copies with
+    // different streams, checking each after every mutation.
+    std::size_t step = 0;
+    for (; a.known.size() < (target + 1) / 2; ++step) {
+      a.mutate(step, target);
+      ASSERT_NO_FATAL_FAILURE(check(a, step));
+    }
+    Stream b = a;
+    b.rng = Rng(target + 1'000'000);
+    // The leaders kept stay far below the history size until 150 steps
+    // before the end, when one call asks for all of it.
+    const std::size_t end = step + target + 300;
+    for (; step < end; ++step) {
+      const bool everything = step == end - 150;
+      a.mutate(step, target);
+      ASSERT_NO_FATAL_FAILURE(check(a, step, everything));
+      b.mutate(step, target);
+      ASSERT_NO_FATAL_FAILURE(check(b, step, everything));
+    }
+    EXPECT_EQ(a.history.size(), target);
+    EXPECT_EQ(b.history.size(), target);
   }
 }
 

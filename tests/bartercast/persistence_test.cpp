@@ -118,6 +118,51 @@ TEST(Persistence, RejectsTamperedOwnerEdges) {
             nullptr);
 }
 
+TEST(Persistence, RejectsRepeatedHistoryPeer) {
+  // save_node writes each peer once. Two 2^62 lines for one peer would sum
+  // past INT64_MAX in the history while the graph edge saturates.
+  std::string error;
+  EXPECT_EQ(load_node_from_string("#bartercast-node,1,0\n"
+                                  "#history,5,0,4611686018427387904,1\n"
+                                  "#history,5,0,4611686018427387904,2\n",
+                                  {}, &error),
+            nullptr);
+  EXPECT_EQ(error, "line 3: malformed #history");
+  EXPECT_EQ(load_node_from_string(
+                "#bartercast-node,1,0\n#history,5,1,0,1\n#history,5,0,0,2\n",
+                {}),
+            nullptr);
+}
+
+TEST(Persistence, RejectsInvalidPeerIds) {
+  // kInvalidPeer (4294967295) names no one: it is malformed wherever an id
+  // goes.
+  std::string error;
+  EXPECT_EQ(load_node_from_string("#bartercast-node,1,4294967295\n", {}),
+            nullptr);
+  EXPECT_EQ(load_node_from_string(
+                "#bartercast-node,1,3\n#history,4294967295,1,1,0\n", {}),
+            nullptr);
+  EXPECT_EQ(load_node_from_string(
+                "#bartercast-node,1,3\n#edge,4294967295,7,100\n", {}, &error),
+            nullptr);
+  EXPECT_EQ(error, "line 2: malformed #edge");
+  EXPECT_EQ(load_node_from_string(
+                "#bartercast-node,1,3\n#edge,7,4294967295,100\n", {}),
+            nullptr);
+}
+
+TEST(Persistence, RejectsNonFiniteLastSeen) {
+  for (const char* seen : {"nan", "inf", "-inf"}) {
+    EXPECT_EQ(load_node_from_string(
+                  std::string("#bartercast-node,1,3\n#history,5,1,1,") + seen +
+                      "\n",
+                  {}),
+              nullptr)
+        << seen;
+  }
+}
+
 TEST(Persistence, RejectsSelfHistory) {
   EXPECT_EQ(
       load_node_from_string("#bartercast-node,1,3\n#history,3,1,1,0\n", {}),

@@ -108,6 +108,23 @@ TEST(Service, RejectsDatagramsFromOwnOrInvalidId) {
   EXPECT_EQ(pair.a->stats().messages_received, 1u);
 }
 
+TEST(Service, DropsRecordsNamingInvalidPeer) {
+  // A decodable datagram from sender 7 whose record names kInvalidPeer: the
+  // datagram is accepted, the record is counted as dropped, and the view
+  // gains no node for kInvalidPeer.
+  Pair pair;
+  BarterCastMessage msg;
+  msg.sender = 7;
+  msg.sent_at = 1.0;
+  msg.records.push_back({kInvalidPeer, 7, 100, 50});
+  EXPECT_TRUE(pair.a->on_datagram(7, encode(msg), 2.0));
+  EXPECT_EQ(pair.a->stats().records_applied, 0u);
+  EXPECT_EQ(pair.a->stats().records_dropped, 1u);
+  const graph::FlowGraph& g = pair.a->node().view().graph();
+  EXPECT_FALSE(g.has_node(kInvalidPeer));
+  EXPECT_TRUE(g.check_invariants());
+}
+
 TEST(Service, NoReplyWhenDisabled) {
   Pair pair;
   pair.b->on_bytes_sent(7, kMiB, 1.0);

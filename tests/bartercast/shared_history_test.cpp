@@ -67,6 +67,24 @@ TEST(SharedHistory, AcceptsRecordWhereSenderIsOther) {
   EXPECT_EQ(sh.graph().capacity(5, 6), 80);
 }
 
+TEST(SharedHistory, DropsRecordsNamingInvalidPeer) {
+  // kInvalidPeer names no one and marks free graph slots: a record naming
+  // it must not create a graph node, whichever side it is on.
+  SharedHistory sh(0);
+  const auto stats = sh.apply_message(message_from(
+      7, {{kInvalidPeer, 7, 100, 50}, {7, kInvalidPeer, 100, 50}}));
+  EXPECT_EQ(stats.applied, 0u);
+  EXPECT_EQ(stats.dropped_third_party, 2u);
+  EXPECT_FALSE(sh.graph().has_node(kInvalidPeer));
+  EXPECT_EQ(sh.graph().num_nodes(), 0u);
+  EXPECT_TRUE(sh.graph().check_invariants());
+  // The same from a sender that is kInvalidPeer itself.
+  const auto from_invalid = sh.apply_message(
+      message_from(kInvalidPeer, {{kInvalidPeer, 4, 100, 50}}));
+  EXPECT_EQ(from_invalid.dropped_third_party, 1u);
+  EXPECT_EQ(sh.graph().num_nodes(), 0u);
+}
+
 TEST(SharedHistory, DropsSelfReports) {
   SharedHistory sh(0);
   const auto msg = message_from(5, {{5, 5, 100, 40}});

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
+
+#include "util/checked.hpp"  // BC_NO_SANITIZE_INTEGER
 
 namespace bc {
 namespace {
@@ -90,6 +94,62 @@ TEST(Rng, UniformIntSingleton) {
   Rng r(10);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(r.uniform_int(42, 42), 42);
+  }
+}
+
+/// uniform_int's rejection as first written: the limit computed for every
+/// draw. The current code computes it only for draws that can reach it.
+/// The sum is formed in unsigned space, as there.
+BC_NO_SANITIZE_INTEGER std::int64_t uniform_int_every_draw(
+    Rng& r, std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (range == 0) return static_cast<std::int64_t>(r());
+  const std::uint64_t limit = Rng::max() - Rng::max() % range;
+  std::uint64_t v = r();
+  while (v >= limit) v = r();
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   v % range);
+}
+
+/// The hi of a span of `range` values from INT64_MIN (0: the full span).
+BC_NO_SANITIZE_INTEGER std::int64_t hi_from_min(std::uint64_t range) {
+  return static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::min()) +
+      range - 1);
+}
+
+TEST(Rng, UniformIntMatchesTheLimitOnEveryDrawFormula) {
+  // Spans just past 2^63 reject about half their draws, so the redraw
+  // loop runs often there.
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t ranges[] = {1,
+                                  2,
+                                  3,
+                                  7,
+                                  kTwo32 - 1,
+                                  kTwo32,
+                                  kTwo32 + 1,
+                                  std::uint64_t{1} << 62,
+                                  kTwo63 - 1,
+                                  kTwo63,
+                                  kTwo63 + 1,
+                                  kMax - 1,
+                                  kMax,
+                                  0};  // 0: the full 64-bit range
+  constexpr std::int64_t kLo = std::numeric_limits<std::int64_t>::min();
+  for (std::uint64_t range : ranges) {
+    const std::int64_t hi = hi_from_min(range);
+    Rng fast(424242);
+    Rng reference(424242);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(fast.uniform_int(kLo, hi),
+                uniform_int_every_draw(reference, kLo, hi))
+          << "range " << range << " draw " << i;
+    }
+    EXPECT_EQ(fast(), reference()) << "range " << range;
   }
 }
 
