@@ -11,7 +11,7 @@
 //                   builds (-DBARTERCAST_VALIDATE=ON) audit by default.
 //   --metrics-out=F write the obs metrics registry + profiling sites as
 //                   JSON to F at end of run (implies --profile).
-//   --metrics-csv=F write the counters/gauges/histogram buckets as CSV.
+//   --metrics-csv=F write the counters and log-histogram buckets as CSV.
 //   --trace-out=F   record a sim-time Chrome trace (engine events, gossip
 //                   exchanges, choke rescans, counter tracks) and write it
 //                   to F; open in chrome://tracing or ui.perfetto.dev.
@@ -82,8 +82,9 @@ int main(int argc, char** argv) {
     tracer.set_dump_path(trace_out);
     if (trace_ring > 0) {
       // Flight recorder: bound memory to the last N events, dump the ring
-      // on demand (SIGUSR1, served at window boundaries) and on any
-      // invariant-audit failure, before the default handler aborts.
+      // on demand (SIGUSR1, served at the next hourly counter-track
+      // snapshot of sim time) and on any invariant-audit failure, before
+      // the default handler aborts.
       tracer.set_ring_capacity(static_cast<std::size_t>(trace_ring));
       tracer.arm_signal_dump(SIGUSR1);
       check::set_failure_observer(

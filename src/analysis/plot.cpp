@@ -1,5 +1,8 @@
 #include "analysis/plot.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <fstream>
 
 #include "util/units.hpp"
@@ -94,18 +97,31 @@ std::string write_scatter_plot(const community::Metrics& metrics,
 std::string write_reputation_histogram_plot(const community::Metrics& metrics,
                                             const std::string& directory,
                                             const std::string& stem) {
-  const obs::Histogram& sharers = metrics.reputation_hist_sharers;
-  const obs::Histogram& freeriders = metrics.reputation_hist_freeriders;
-  // The histograms share bucket edges by construction (Metrics ctor).
+  // 40 buckets of width 0.05 across the metric's (-1, 1] range. A value
+  // lands in the first bucket whose upper edge satisfies v <= edge; the top
+  // edge is exactly 1.0 (accumulated widths would land just below it), and
+  // a value above it is not plotted.
+  constexpr std::size_t kBuckets = 40;
+  const double width = 2.0 / static_cast<double>(kBuckets);
+  std::array<double, kBuckets> edges{};
+  for (std::size_t i = 0; i + 1 < kBuckets; ++i) {
+    edges[i] = -1.0 + width * static_cast<double>(i + 1);
+  }
+  edges[kBuckets - 1] = 1.0;
+  std::array<std::uint64_t, kBuckets> sharers{};
+  std::array<std::uint64_t, kBuckets> freeriders{};
+  for (const auto& o : metrics.outcomes) {
+    const auto it = std::lower_bound(edges.begin(), edges.end(),
+                                     o.final_system_reputation);
+    if (it == edges.end()) continue;
+    auto& counts = o.freerider ? freeriders : sharers;
+    ++counts[static_cast<std::size_t>(it - edges.begin())];
+  }
   std::string dat = "# bucket_upper_edge sharers_count freeriders_count\n";
-  for (std::size_t i = 0; i < sharers.num_buckets(); ++i) {
-    if (sharers.count(i) == 0 && freeriders.count(i) == 0) continue;
-    // Bucket i spans up to upper_edge(i); the overflow bucket (all-zero for
-    // reputations, which live in (-1, 1)) would print as "inf", so skip it.
-    if (i == sharers.edges().size()) continue;
-    dat += std::to_string(sharers.upper_edge(i)) + ' ' +
-           std::to_string(sharers.count(i)) + ' ' +
-           std::to_string(freeriders.count(i)) + '\n';
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (sharers[i] == 0 && freeriders[i] == 0) continue;
+    dat += std::to_string(edges[i]) + ' ' + std::to_string(sharers[i]) + ' ' +
+           std::to_string(freeriders[i]) + '\n';
   }
   const std::string gp =
       "set terminal pngcairo size 800,500\n"

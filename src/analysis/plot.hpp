@@ -28,9 +28,9 @@ std::string write_speed_plot(const community::Metrics& metrics,
                              const std::string& directory,
                              const std::string& stem);
 
-/// End-of-run final-reputation distribution per class, from the obs
-/// histograms Metrics fills in finalize() — distributions, not just the
-/// time-series means of Figure 1(a).
+/// End-of-run final-reputation distribution per class: the outcomes'
+/// final system reputations in 40 buckets of width 0.05 over (-1, 1] —
+/// distributions, not just the time-series means of Figure 1(a).
 std::string write_reputation_histogram_plot(const community::Metrics& metrics,
                                             const std::string& directory,
                                             const std::string& stem);

@@ -21,8 +21,6 @@ Metrics::Metrics(Seconds total, Seconds bin)
       reputation_freeriders(0.0, bin, bins_for(total, bin)),
       speed_sharers(0.0, bin, bins_for(total, bin)),
       speed_freeriders(0.0, bin, bins_for(total, bin)),
-      reputation_hist_sharers(obs::Histogram::uniform_edges(-1.0, 1.0, 40)),
-      reputation_hist_freeriders(obs::Histogram::uniform_edges(-1.0, 1.0, 40)),
       duration(total) {}
 
 double Metrics::late_class_speed(bool freeriders) const {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/ids.hpp"
 #include "util/timeseries.hpp"
 #include "util/units.hpp"
@@ -63,15 +62,11 @@ struct Metrics {
   TimeSeries speed_sharers;
   TimeSeries speed_freeriders;
 
-  std::vector<PeerOutcome> outcomes;  // one per trace peer, by peer id
+  /// One per trace peer, by peer id. Their final system reputations are
+  /// the per-class distribution behind the Figure 1 class means
+  /// (analysis::write_reputation_histogram_plot bins them).
+  std::vector<PeerOutcome> outcomes;
   MessageStats messages;
-
-  // End-of-run distribution of final system reputations per class (the
-  // histogram view behind the Figure 1 class means; bench_plots renders it
-  // via analysis::write_reputation_histogram_plot). 40 buckets across the
-  // metric's full (-1, 1) range.
-  obs::Histogram reputation_hist_sharers;
-  obs::Histogram reputation_hist_freeriders;
 
   /// Mean download speed of a class over the last `tail` seconds of the
   /// run (used for the endpoint comparisons of Figures 2-3).

@@ -82,13 +82,9 @@ struct ScenarioConfig {
   std::size_t threads = 1;
 
   // --- observability ---------------------------------------------------
-  /// Period of the obs counter snapshots fed into the sim-time tracer as
-  /// Chrome 'C' (counter-track) events. Only scheduled while the tracer is
-  /// enabled at construction time, so default runs schedule nothing.
-  Seconds metrics_snapshot_interval = 1.0 * kHour;
   /// When non-empty, the simulator streams windowed metric deltas (one
-  /// NDJSON line per metrics_snapshot_interval of sim time, plus a final
-  /// partial window at finalize) to this path. See obs/stream.hpp.
+  /// NDJSON line per hour of sim time, plus a final partial window at
+  /// finalize) to this path. See obs/stream.hpp.
   std::string metrics_stream_path;
 
   /// Returns an empty string when the configuration is internally

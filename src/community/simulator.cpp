@@ -201,24 +201,24 @@ void CommunitySimulator::schedule_periodics() {
   engine_.schedule_periodic(config_.reputation_probe_interval,
                             config_.reputation_probe_interval,
                             [this] { reputation_probe(); });
-  // Counter tracks for the trace viewer. Checked once, at construction:
-  // enabling the tracer mid-run affects instants but not these snapshots.
+  constexpr Seconds kSnapshotInterval = 1.0 * kHour;
+  // Counter tracks for the trace viewer, and the flight recorder's poll
+  // point: a SIGUSR1-armed dump request raised since the last snapshot is
+  // served here, at a deterministic safe point. Checked once, at
+  // construction: enabling the tracer mid-run affects instants but not
+  // these snapshots.
   if (obs::Tracer::instance().enabled()) {
-    BC_ASSERT(config_.metrics_snapshot_interval > 0.0);
-    engine_.schedule_periodic(
-        config_.metrics_snapshot_interval, config_.metrics_snapshot_interval,
-        [this] {
-          obs::snapshot_counters_to_trace(obs::Registry::instance(),
-                                          obs::Tracer::instance(),
-                                          engine_.now());
-        });
+    engine_.schedule_periodic(kSnapshotInterval, kSnapshotInterval, [this] {
+      auto& tracer = obs::Tracer::instance();
+      obs::snapshot_counters_to_trace(obs::Registry::instance(), tracer,
+                                      engine_.now());
+      tracer.poll_signal_dump();
+    });
   }
   // Windowed NDJSON stream pump: one delta line per snapshot interval of
   // sim time (plus the final partial window at finalize).
   if (metrics_stream_.is_open()) {
-    BC_ASSERT(config_.metrics_snapshot_interval > 0.0);
-    engine_.schedule_periodic(config_.metrics_snapshot_interval,
-                              config_.metrics_snapshot_interval,
+    engine_.schedule_periodic(kSnapshotInterval, kSnapshotInterval,
                               [this] { pump_metrics_window(); });
   }
   for (PeerId id = 0; id < peers_.size(); ++id) {
@@ -236,19 +236,21 @@ void CommunitySimulator::publish_cache_totals() {
     cache_hits += node(i).reputation_cache().hits();
     cache_misses += node(i).reputation_cache().misses();
   }
+  // The node tallies only grow. Adding what they gained since this
+  // simulator last published makes the counters sum over every simulator
+  // in the process, as every other counter does.
   auto& registry = obs::Registry::instance();
-  // store_total, not inc: these are cumulative tallies owned by the nodes;
-  // the counters mirror them, so each publish overwrites the mirror.
-  registry.counter("reputation.cache_hits").store_total(cache_hits);
-  registry.counter("reputation.cache_misses").store_total(cache_misses);
+  registry.counter("reputation.cache_hits")
+      .inc(cache_hits - published_cache_hits_);
+  registry.counter("reputation.cache_misses")
+      .inc(cache_misses - published_cache_misses_);
+  published_cache_hits_ = cache_hits;
+  published_cache_misses_ = cache_misses;
 }
 
 void CommunitySimulator::pump_metrics_window() {
   publish_cache_totals();
   metrics_stream_.emit_window(obs::Registry::instance(), engine_.now());
-  // Flight-recorder poll point: a SIGUSR1-armed dump request raised since
-  // the last window is served here, at a deterministic safe point.
-  obs::Tracer::instance().poll_signal_dump();
 }
 
 void CommunitySimulator::attempt_join(PeerId id, SwarmId swarm_id) {
@@ -620,9 +622,8 @@ double CommunitySimulator::system_reputation(PeerId subject) {
 std::vector<double> CommunitySimulator::batch_system_reputations() {
   const auto n = trace_.peers.size();
   BC_ASSERT(n >= 2);
-  auto& registry = obs::Registry::instance();
-  obs::Counter& evals = registry.counter("reputation.evaluations");
-  obs::LogHistogram& values = registry.log_histogram(
+  // One observation per evaluation: its total is the evaluation count.
+  obs::LogHistogram& values = obs::Registry::instance().log_histogram(
       "reputation.eval_values", obs::LogSpec::signed_unit());
   // Evaluator-major (j, then subjects i), and each subject's sum runs over
   // ascending j. That order fixes both the cache traffic and the FP
@@ -633,7 +634,6 @@ std::vector<double> CommunitySimulator::batch_system_reputations() {
     for (std::size_t i = 0; i < n; ++i) {
       if (i == j) continue;
       const double r = evaluator.reputation(static_cast<PeerId>(i));
-      evals.inc();
       values.observe(r);
       avg[i] += r;
     }
@@ -663,15 +663,13 @@ void CommunitySimulator::finalize() {
   BC_OBS_SCOPE("community.finalize");
   const auto n = static_cast<PeerId>(trace_.peers.size());
   metrics_.outcomes.resize(n);
-  // The registry mirrors of the per-class distributions accumulate across
-  // runs in one process; the Metrics histograms are this run only.
+  // The per-class final-reputation distributions; like every registry
+  // instrument they accumulate across the runs of one process.
   auto& registry = obs::Registry::instance();
-  obs::Histogram& reg_sharers = registry.histogram(
-      "community.final_reputation_sharers",
-      obs::Histogram::uniform_edges(-1.0, 1.0, 40));
-  obs::Histogram& reg_freeriders = registry.histogram(
-      "community.final_reputation_freeriders",
-      obs::Histogram::uniform_edges(-1.0, 1.0, 40));
+  obs::LogHistogram& final_sharers = registry.log_histogram(
+      "community.final_reputation_sharers", obs::LogSpec::signed_unit());
+  obs::LogHistogram& final_freeriders = registry.log_histogram(
+      "community.final_reputation_freeriders", obs::LogSpec::signed_unit());
   const std::vector<double> reps =
       n >= 2 ? batch_system_reputations() : std::vector<double>(n, 0.0);
   for (PeerId i = 0; i < n; ++i) {
@@ -688,13 +686,8 @@ void CommunitySimulator::finalize() {
     o.time_downloading = p.time_downloading;
     o.late_downloaded = p.late_downloaded;
     o.late_time_downloading = p.late_time_downloading;
-    if (o.freerider) {
-      metrics_.reputation_hist_freeriders.add(o.final_system_reputation);
-      reg_freeriders.add(o.final_system_reputation);
-    } else {
-      metrics_.reputation_hist_sharers.add(o.final_system_reputation);
-      reg_sharers.add(o.final_system_reputation);
-    }
+    (o.freerider ? final_freeriders : final_sharers)
+        .observe(o.final_system_reputation);
   }
   // After the final reputation sweep, so its cache activity is included.
   publish_cache_totals();

@@ -128,12 +128,13 @@ class CommunitySimulator {
   void handle_completion(SwarmId swarm_id, PeerId peer);
   void finalize();
 
-  /// Republishes the per-node reputation-cache tallies (plain members on
-  /// the nanosecond-scale hit path) as registry counter totals, so the
-  /// windowed stream sees them move during the run, not only at finalize.
+  /// Adds what the per-node reputation-cache tallies (plain members on
+  /// the nanosecond-scale hit path) gained since the last publish to the
+  /// registry counters, so the windowed stream sees them move during the
+  /// run, not only at finalize.
   void publish_cache_totals();
-  /// Periodic --metrics-stream pump: republish derived totals, append one
-  /// delta window, and serve any signal-requested flight-recorder dump.
+  /// Periodic --metrics-stream pump: publish the cache tallies, then
+  /// append one delta window.
   void pump_metrics_window();
 
   /// Batch all-peers sweep: returns the system reputation of every trace
@@ -167,6 +168,9 @@ class CommunitySimulator {
   Metrics metrics_;
   /// Windowed NDJSON export (--metrics-stream); closed at finalize.
   obs::MetricsStream metrics_stream_;
+  /// Node cache tallies as of the last publish_cache_totals().
+  std::uint64_t published_cache_hits_ = 0;
+  std::uint64_t published_cache_misses_ = 0;
   std::unordered_map<std::uint64_t, RepCacheEntry> rep_cache_;
   /// Completions reported by Swarm::on_complete during the transfer phase,
   /// processed at a safe point later in the same round.

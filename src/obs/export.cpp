@@ -1,22 +1,10 @@
 #include "obs/export.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "util/table.hpp"
 
 namespace bc::obs {
-
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string metrics_json(const Registry& registry, const Profiler& profiler) {
   const Snapshot snap = registry.snapshot();
@@ -26,35 +14,6 @@ std::string metrics_json(const Registry& registry, const Profiler& profiler) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + format_double(value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& h : snap.histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(h.name) + "\": {\"upper_edges\": [";
-    for (std::size_t i = 0; i < h.upper_edges.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += format_double(h.upper_edges[i]);
-    }
-    out += "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += std::to_string(h.counts[i]);
-    }
-    out += "], \"total\": " + std::to_string(h.total) +
-           ", \"sum\": " + format_double(h.sum) + "}";
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -97,18 +56,6 @@ std::string metrics_csv(const Registry& registry) {
   std::string out = "name,kind,value\n";
   for (const auto& [name, value] : snap.counters) {
     out += name + ",counter," + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out += name + ",gauge," + format_double(value) + "\n";
-  }
-  for (const auto& h : snap.histograms) {
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      const std::string edge = i < h.upper_edges.size()
-                                   ? format_double(h.upper_edges[i])
-                                   : "inf";
-      out += h.name + "[le=" + edge + "],histogram," +
-             std::to_string(h.counts[i]) + "\n";
-    }
   }
   for (const auto& h : snap.log_histograms) {
     for (const auto& [index, count] : h.buckets) {

@@ -3,9 +3,7 @@
 //
 // The JSON document groups instruments by kind:
 //
-//   { "counters": {...}, "gauges": {...},
-//     "histograms": {"name": {"upper_edges": [...], "counts": [...],
-//                             "total": n, "sum": x}},
+//   { "counters": {...},
 //     "log_histograms": {"name": {"buckets": [[index, count], ...],
 //                                 "total": n, "sum": x, "p50": x,
 //                                 "p90": x, "p99": x, "max": x}},
@@ -30,8 +28,9 @@ namespace bc::obs {
 /// Full JSON dump of the registry plus profiler (see format above).
 std::string metrics_json(const Registry& registry, const Profiler& profiler);
 
-/// Flat `name,kind,value` CSV of counters and gauges; histogram buckets
-/// emit one `name[le=edge],histogram,count` row each.
+/// Flat `name,kind,value` CSV: one row per counter, then per log
+/// histogram one `name[bucket=index],log_histogram,count` row per
+/// non-empty bucket plus its p50 and p99.
 std::string metrics_csv(const Registry& registry);
 
 /// Human-readable profile table: site, calls, total ms, mean us per call.

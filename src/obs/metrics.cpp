@@ -2,57 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace bc::obs {
-
-Histogram::Histogram(std::vector<double> upper_edges)
-    : edges_(std::move(upper_edges)), counts_(edges_.size() + 1, 0) {
-  BC_ASSERT_MSG(!edges_.empty(), "histogram needs at least one bucket edge");
-  BC_ASSERT_MSG(std::is_sorted(edges_.begin(), edges_.end()),
-                "histogram edges must be ascending");
-}
-
-std::vector<double> Histogram::uniform_edges(double lo, double hi,
-                                             std::size_t num_buckets) {
-  BC_ASSERT(hi > lo && num_buckets > 0);
-  std::vector<double> edges(num_buckets);
-  const double width = (hi - lo) / static_cast<double>(num_buckets);
-  for (std::size_t i = 0; i + 1 < num_buckets; ++i) {
-    edges[i] = lo + width * static_cast<double>(i + 1);
-  }
-  // Exact top edge: accumulating widths would land slightly below hi and
-  // push values equal to hi into the overflow bucket.
-  edges[num_buckets - 1] = hi;
-  return edges;
-}
-
-void Histogram::add(double value) {
-  BC_ASSERT_MSG(!counts_.empty(), "histogram used before construction");
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), value);
-  counts_[static_cast<std::size_t>(it - edges_.begin())] += 1;
-  ++total_;
-  sum_ += value;
-}
-
-double Histogram::upper_edge(std::size_t i) const {
-  BC_ASSERT(i < counts_.size());
-  if (i == edges_.size()) return std::numeric_limits<double>::infinity();
-  return edges_[i];
-}
-
-std::uint64_t Histogram::count(std::size_t i) const {
-  BC_ASSERT(i < counts_.size());
-  return counts_[i];
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  sum_ = 0.0;
-}
 
 LogHistogram::LogHistogram(const LogSpec& spec) : spec_(spec) {
   BC_ASSERT_MSG(spec.max_exp2 > spec.min_exp2,
@@ -173,23 +127,6 @@ Counter& Registry::counter(std::string_view name) {
   return counters_.try_emplace(std::string(name)).first->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  if (auto it = gauges_.find(name); it != gauges_.end()) {
-    return it->second;
-  }
-  return gauges_.emplace(std::string(name), Gauge{}).first->second;
-}
-
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> upper_edges) {
-  if (auto it = histograms_.find(name); it != histograms_.end()) {
-    return it->second;
-  }
-  return histograms_
-      .emplace(std::string(name), Histogram(std::move(upper_edges)))
-      .first->second;
-}
-
 LogHistogram& Registry::log_histogram(std::string_view name,
                                       const LogSpec& spec) {
   if (auto it = log_histograms_.find(name); it != log_histograms_.end()) {
@@ -203,23 +140,6 @@ Snapshot Registry::snapshot() const {
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c.value());
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g.value());
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = name;
-    hs.upper_edges = h.edges();
-    hs.counts.reserve(h.num_buckets());
-    for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-      hs.counts.push_back(h.count(i));
-    }
-    hs.total = h.total();
-    hs.sum = h.sum();
-    snap.histograms.push_back(std::move(hs));
   }
   snap.log_histograms.reserve(log_histograms_.size());
   for (const auto& [name, h] : log_histograms_) {
@@ -246,14 +166,11 @@ Snapshot Registry::snapshot() const {
 }
 
 std::size_t Registry::num_instruments() const {
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         log_histograms_.size();
+  return counters_.size() + log_histograms_.size();
 }
 
 void Registry::reset_values() {
   for (auto& [_, c] : counters_) c.reset();
-  for (auto& [_, g] : gauges_) g.reset();
-  for (auto& [_, h] : histograms_) h.reset();
   for (auto& [_, h] : log_histograms_) h.reset();
 }
 

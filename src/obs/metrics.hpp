@@ -1,5 +1,4 @@
-// Metrics registry: named counters, gauges, fixed-bucket histograms, and
-// log-bucket (HDR-style) histograms.
+// Metrics registry: named counters and log-bucket (HDR-style) histograms.
 //
 // Call sites cache the instrument reference once (typically in a
 // function-local static) and touch only the instrument afterwards:
@@ -9,15 +8,14 @@
 //   exchanges.inc();
 //
 // Registry storage is node-based (std::map), so references returned by
-// counter()/gauge()/histogram()/log_histogram() stay valid for the
-// registry's lifetime, including across reset_values(). Snapshots iterate
-// the maps in key order, which makes exported output deterministic
-// run-to-run.
+// counter()/log_histogram() stay valid for the registry's lifetime,
+// including across reset_values(). Snapshots iterate the maps in key
+// order, which makes exported output deterministic run-to-run.
 //
 // The simulator runs on one thread (DESIGN.md §10), so instruments are
-// plain state. Counter and LogHistogram keep integer state only (counts
-// and fixed-point sums), which lets the windowed stream encode exact
-// deltas (obs/stream.hpp).
+// plain state. Both kinds keep integer state only (counts and fixed-point
+// sums), which lets the windowed stream encode exact deltas
+// (obs/stream.hpp).
 //
 // The registry does not know about simulation time; periodic snapshots are
 // driven externally (see obs/stream.hpp, obs/export.hpp and
@@ -35,66 +33,15 @@
 
 namespace bc::obs {
 
-/// Monotonically increasing event count.
+/// Event count: only inc() moves it, and only up (reset() aside).
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
-
-  /// Overwrites the total (used to republish externally-tracked totals,
-  /// e.g. the reputation-cache tallies, through the windowed stream).
-  void store_total(std::uint64_t v) { value_ = v; }
-
   void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
-};
-
-/// Point-in-time measurement (last writer wins).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
-  void reset() { value_ = 0.0; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Fixed-bucket histogram with explicit ascending upper edges. A value v
-/// lands in the first bucket whose upper edge satisfies v <= edge; values
-/// above the last edge land in an implicit overflow bucket, so total()
-/// always equals the number of add() calls.
-class Histogram {
- public:
-  Histogram() = default;
-  explicit Histogram(std::vector<double> upper_edges);
-
-  /// Uniform edges covering [lo, hi] with `num_buckets` finite buckets
-  /// (the overflow bucket comes on top).
-  static std::vector<double> uniform_edges(double lo, double hi,
-                                           std::size_t num_buckets);
-
-  void add(double value);
-
-  /// Finite buckets plus the overflow bucket.
-  std::size_t num_buckets() const { return counts_.size(); }
-  /// Upper edge of bucket `i`; the overflow bucket reports +infinity.
-  double upper_edge(std::size_t i) const;
-  std::uint64_t count(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-  double sum() const { return sum_; }
-  const std::vector<double>& edges() const { return edges_; }
-
-  void reset();
-
- private:
-  std::vector<double> edges_;           // ascending finite upper bounds
-  std::vector<std::uint64_t> counts_;   // edges_.size() + 1 (overflow last)
-  std::uint64_t total_ = 0;
-  double sum_ = 0.0;
 };
 
 /// Geometry of a LogHistogram: sign-symmetric logarithmic buckets —
@@ -177,14 +124,6 @@ class LogHistogram {
 };
 
 /// Value-copies of every instrument, sorted by name.
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> upper_edges;
-  std::vector<std::uint64_t> counts;  // incl. trailing overflow bucket
-  std::uint64_t total = 0;
-  double sum = 0.0;
-};
-
 struct LogHistogramSnapshot {
   std::string name;
   /// Non-empty buckets only, ascending index (= ascending value).
@@ -207,8 +146,6 @@ struct LogHistogramSnapshot {
 
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
   std::vector<LogHistogramSnapshot> log_histograms;
 };
 
@@ -220,11 +157,9 @@ class Registry {
   static Registry& instance();
 
   /// Finds or creates the named instrument. References stay valid for the
-  /// registry's lifetime. For histogram()/log_histogram(), the geometry
-  /// argument is consumed only on first creation; later lookups ignore it.
+  /// registry's lifetime. For log_histogram(), the geometry argument is
+  /// consumed only on first creation; later lookups ignore it.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, std::vector<double> upper_edges);
   LogHistogram& log_histogram(std::string_view name, const LogSpec& spec);
 
   Snapshot snapshot() const;
@@ -237,8 +172,6 @@ class Registry {
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, LogHistogram, std::less<>> log_histograms_;
 };
 

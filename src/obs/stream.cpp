@@ -1,22 +1,15 @@
 #include "obs/stream.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
-#include "obs/trace_writer.hpp"  // json_escape
+#include "obs/trace_writer.hpp"  // json_escape, format_double
 #include "util/assert.hpp"
 
 namespace bc::obs {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 /// One log histogram's window: bucket-count deltas (ascending index) with
 /// their value edges, plus exact integer total/sum deltas.
@@ -83,7 +76,7 @@ void MetricsStream::emit_window(const Registry& registry, Seconds t) {
   if (!out_.is_open()) return;
   Snapshot cur = registry.snapshot();
 
-  std::string line = "{\"schema\":\"bc.metrics.window.v1\",\"seq\":" +
+  std::string line = "{\"schema\":\"bc.metrics.window.v2\",\"seq\":" +
                      std::to_string(windows_) +
                      ",\"t\":" + format_double(t) + ",\"counters\":{";
   bool first = true;
@@ -94,8 +87,8 @@ void MetricsStream::emit_window(const Registry& registry, Seconds t) {
     if (j < prev_.counters.size() && prev_.counters[j].first == name) {
       before = prev_.counters[j].second;
     }
-    // Signed delta: store_total() may lawfully republish a smaller total
-    // (e.g. after a reset); the stream records what happened either way.
+    // Signed delta: a Registry::reset_values() between windows lowers a
+    // counter; the stream records what happened either way.
     const auto delta =
         static_cast<std::int64_t>(value) - static_cast<std::int64_t>(before);
     if (delta == 0) continue;
@@ -103,15 +96,6 @@ void MetricsStream::emit_window(const Registry& registry, Seconds t) {
     first = false;
     line.append("\"").append(json_escape(name)).append("\":")
         .append(std::to_string(delta));
-  }
-
-  line += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : cur.gauges) {
-    line += first ? "" : ",";
-    first = false;
-    line.append("\"").append(json_escape(name)).append("\":")
-        .append(format_double(value));
   }
 
   line += "},\"log_histograms\":{";

@@ -4,11 +4,10 @@
 // module answers "what happened during the last hour of sim time" —
 // tail-able, plottable, and cheap enough to leave on for soak runs.
 //
-// Line schema (schema id "bc.metrics.window.v1"):
+// Line schema (schema id "bc.metrics.window.v2"):
 //
-//   {"schema": "bc.metrics.window.v1", "seq": 0, "t": 3600,
+//   {"schema": "bc.metrics.window.v2", "seq": 0, "t": 3600,
 //    "counters": {"name": delta, ...},              // non-zero deltas only
-//    "gauges": {"name": value, ...},                // current values
 //    "log_histograms": {"name": {"buckets": [[index, delta], ...],
 //                                "total": delta, "sum": delta,
 //                                "p50": x, "p99": x, "max": x}, ...}}
@@ -24,8 +23,7 @@
 //
 // The stream owns no timer: whoever owns a sim::Engine pumps emit_window
 // (community::CommunitySimulator schedules it via Engine::schedule_periodic
-// at the configured snapshot interval, plus one final partial window at
-// finalize).
+// once per hour of sim time, plus one final partial window at finalize).
 #pragma once
 
 #include <cstdint>

@@ -18,14 +18,6 @@ std::uint64_t to_micros(Seconds t) {
   return static_cast<std::uint64_t>(std::llround(t * 1e6));
 }
 
-/// Shortest round-trippable representation; "%.17g" noise would bloat the
-/// file and break golden-file stability for representable values.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
 /// Set from the signal handler, consumed at poll points. sig_atomic_t is
 /// the only object a standard signal handler may write; it is a signal
 /// flag, not shared state between threads (the process has one thread).
@@ -34,6 +26,12 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 void request_dump(int /*signum*/) { g_dump_requested = 1; }
 
 }  // namespace
+
+std::string format_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -127,20 +125,6 @@ void Tracer::instant(std::string name, std::string category, Seconds t,
   push(std::move(ev));
 }
 
-void Tracer::complete(std::string name, std::string category, Seconds start,
-                      Seconds duration, Args args) {
-  if (!enabled_) return;
-  BC_ASSERT(duration >= 0.0);
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  ev.phase = 'X';
-  ev.ts_us = to_micros(start);
-  ev.dur_us = to_micros(duration);
-  ev.args = std::move(args);
-  push(std::move(ev));
-}
-
 void Tracer::counter(std::string name, Seconds t, double value) {
   if (!enabled_) return;
   TraceEvent ev;
@@ -164,7 +148,6 @@ void Tracer::write_json(std::ostream& os) const {
     os << "{\"name\":\"" << json_escape(ev.name) << "\",\"cat\":\""
        << json_escape(ev.category) << "\",\"ph\":\"" << ev.phase
        << "\",\"pid\":0,\"tid\":0,\"ts\":" << ev.ts_us;
-    if (ev.phase == 'X') os << ",\"dur\":" << ev.dur_us;
     if (ev.phase == 'C') {
       os << ",\"args\":{\"value\":" << format_double(ev.value) << "}";
     } else if (!ev.args.empty()) {

@@ -23,8 +23,8 @@
 // undefined); and check::set_failure_observer can route audit failures
 // into dump_now() before the process aborts.
 //
-// Supported phases: 'i' (instant), 'X' (complete, with duration), and
-// 'C' (counter, plotted as a track). String args are JSON-escaped.
+// Supported phases: 'i' (instant) and 'C' (counter, plotted as a track).
+// String args are JSON-escaped.
 #pragma once
 
 #include <cstddef>
@@ -42,13 +42,16 @@ namespace bc::obs {
 /// JSON-escapes a string for embedding between double quotes.
 std::string json_escape(std::string_view s);
 
+/// "%g" rendering shared by every obs export: short, and stable for
+/// golden files where "%.17g" would add representation noise.
+std::string format_double(double v);
+
 struct TraceEvent {
   std::string name;
   std::string category;
   char phase = 'i';
-  std::uint64_t ts_us = 0;   // simulation time, microseconds
-  std::uint64_t dur_us = 0;  // 'X' only
-  double value = 0.0;        // 'C' only
+  std::uint64_t ts_us = 0;  // simulation time, microseconds
+  double value = 0.0;       // 'C' only
   std::vector<std::pair<std::string, std::string>> args;
 };
 
@@ -67,9 +70,6 @@ class Tracer {
   /// Point event at sim time `t`.
   void instant(std::string name, std::string category, Seconds t,
                Args args = {});
-  /// Span event covering [start, start + duration] of sim time.
-  void complete(std::string name, std::string category, Seconds start,
-                Seconds duration, Args args = {});
   /// Counter sample; same-name samples form a plotted track.
   void counter(std::string name, Seconds t, double value);
 

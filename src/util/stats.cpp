@@ -29,25 +29,6 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  BC_ASSERT(total > 0.0);
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double percentile(std::span<const double> values, double q) {
   if (values.empty()) return 0.0;
   BC_ASSERT(q >= 0.0 && q <= 1.0);

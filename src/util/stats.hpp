@@ -22,9 +22,6 @@ class OnlineStats {
   double max() const { return n_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void merge(const OnlineStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace bc::analysis {
 namespace {
@@ -67,6 +69,32 @@ TEST_F(PlotFixture, ScatterPlotHasOutcome) {
   ASSERT_FALSE(gp.empty());
   const std::string dat = slurp((dir / "sc.dat").string());
   EXPECT_NE(dat.find("1.000000 0.400000 0"), std::string::npos);
+}
+
+// v lands in the first bucket with v <= upper edge: -0.95 and 0.0 sit on
+// an edge, -0.94 just above one, and 0.99 and 1.0 in the top bucket.
+// Buckets empty in both classes are skipped.
+TEST_F(PlotFixture, ReputationHistogramBinsOutcomesExactly) {
+  metrics.outcomes.clear();
+  const std::vector<std::pair<double, bool>> reps = {
+      {-0.95, false}, {0.0, false},  {0.42, false}, {0.99, false},
+      {1.0, false},   {-0.95, true}, {-0.94, true}, {-0.33, true}};
+  for (const auto& [rep, freerider] : reps) {
+    community::PeerOutcome o;
+    o.freerider = freerider;
+    o.final_system_reputation = rep;
+    metrics.outcomes.push_back(o);
+  }
+  ASSERT_FALSE(
+      write_reputation_histogram_plot(metrics, dir.string(), "hist").empty());
+  EXPECT_EQ(slurp((dir / "hist.dat").string()),
+            "# bucket_upper_edge sharers_count freeriders_count\n"
+            "-0.950000 1 1\n"
+            "-0.900000 0 1\n"
+            "-0.300000 0 1\n"
+            "0.000000 1 0\n"
+            "0.450000 1 0\n"
+            "1.000000 2 0\n");
 }
 
 TEST_F(PlotFixture, CdfPlot) {

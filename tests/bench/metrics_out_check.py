@@ -17,8 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-EXPECTED_KEYS = {"counters", "gauges", "histograms", "log_histograms",
-                 "profile"}
+EXPECTED_KEYS = {"counters", "log_histograms", "profile"}
 
 
 def main():

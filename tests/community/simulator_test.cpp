@@ -6,7 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "analysis/experiment.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace_writer.hpp"
 #include "trace/generator.hpp"
 
 namespace bc::community {
@@ -207,6 +215,61 @@ TEST(Simulator, ContributionReputationCorrelationPositive) {
   // With little data the correlation is noisy, but it must not be strongly
   // negative; with a day of activity it is reliably positive.
   EXPECT_GT(analysis::contribution_correlation(sim.metrics()), 0.0);
+}
+
+// fig2, fig3 and the ablations run several simulators in one process: the
+// reputation-cache counters must sum over them, as every other counter does.
+TEST(Simulator, CacheCountersSumOverSimulatorsInOneProcess) {
+  obs::Counter& hits_counter =
+      obs::Registry::instance().counter("reputation.cache_hits");
+  obs::Counter& misses_counter =
+      obs::Registry::instance().counter("reputation.cache_misses");
+  const std::uint64_t hits_before = hits_counter.value();
+  const std::uint64_t misses_before = misses_counter.value();
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (const std::uint64_t seed : {14u, 15u}) {
+    CommunitySimulator sim(small_trace(seed), small_scenario(seed));
+    sim.run();
+    for (PeerId i = 0; i < sim.num_total_peers(); ++i) {
+      hits += sim.node(i).reputation_cache().hits();
+      misses += sim.node(i).reputation_cache().misses();
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(hits_counter.value() - hits_before, hits);
+  EXPECT_EQ(misses_counter.value() - misses_before, misses);
+}
+
+// A SIGUSR1-requested flight-recorder dump is served whenever the tracer
+// is on, not only while a metrics stream is open.
+TEST(Simulator, SignalDumpServedWithoutMetricsStream) {
+  const std::string path = ::testing::TempDir() + "bc_sim_signal_dump.json";
+  std::remove(path.c_str());
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.set_ring_capacity(1000);
+  tracer.set_enabled(true);
+  tracer.set_dump_path(path);
+  tracer.arm_signal_dump(SIGUSR1);
+  {
+    CommunitySimulator sim(small_trace(16), small_scenario(16));
+    ASSERT_TRUE(sim.config().metrics_stream_path.empty());
+    std::raise(SIGUSR1);
+    sim.run();
+  }
+  std::signal(SIGUSR1, SIG_DFL);
+  tracer.set_enabled(false);
+  tracer.set_dump_path("");
+  tracer.reset();
+  tracer.set_ring_capacity(0);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no flight-recorder dump at " << path;
+  std::ostringstream dump;
+  dump << in.rdbuf();
+  EXPECT_EQ(dump.str().rfind("{\"traceEvents\":[{", 0), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(SimulatorDeathTest, DoubleRunRejected) {

@@ -5,12 +5,13 @@ The windowed metrics stream (--metrics-stream) emits exact integer deltas,
 so replaying every window must reconstruct the final cumulative metrics
 JSON bit-for-bit:
 
-  * every line carries schema "bc.metrics.window.v1" with exactly the
+  * every line carries schema "bc.metrics.window.v2" with exactly the
     documented keys and a contiguous seq starting at 0;
   * per counter, the sum of window deltas equals the end-of-run total —
     including the per-reason drop counters (barter.dropped_*) and the
-    republished reputation-cache tallies, which must flow through the
-    stream during the run rather than appearing only at finalize;
+    reputation-cache tallies the simulator publishes from its nodes, which
+    must flow through the stream during the run rather than appearing only
+    at finalize;
   * per log histogram, summed window totals and per-bucket deltas equal
     the end-of-run bucket counts.
 
@@ -27,11 +28,11 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-EXPECTED_KEYS = {"schema", "seq", "t", "counters", "gauges", "log_histograms"}
-SCHEMA = "bc.metrics.window.v1"
+EXPECTED_KEYS = {"schema", "seq", "t", "counters", "log_histograms"}
+SCHEMA = "bc.metrics.window.v2"
 
 # Satellites of this check: totals that exist only because mid-run code
-# republishes them into the registry. Their presence proves the stream
+# publishes them into the registry. Their presence proves the stream
 # carries them while the run is in flight.
 REQUIRED_COUNTERS = (
     "barter.dropped_third_party",

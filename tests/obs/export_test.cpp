@@ -18,8 +18,7 @@ TEST(ObsExport, MetricsJsonEmptyRegistry) {
   Profiler p;
   const std::string json = metrics_json(r, p);
   EXPECT_EQ(json,
-            "{\n  \"counters\": {},\n  \"gauges\": {},\n"
-            "  \"histograms\": {},\n  \"log_histograms\": {},\n"
+            "{\n  \"counters\": {},\n  \"log_histograms\": {},\n"
             "  \"profile\": {}\n}\n");
 }
 
@@ -27,10 +26,9 @@ TEST(ObsExport, MetricsJsonContainsAllKinds) {
   Registry r;
   r.counter("b.count").inc(5);
   r.counter("a.count").inc(2);
-  r.gauge("load").set(0.5);
-  Histogram& h = r.histogram("lat", {1.0, 2.0});
-  h.add(0.5);
-  h.add(9.0);
+  LogHistogram& h = r.log_histogram("lat", LogSpec::magnitude());
+  h.observe(4.0);  // bucket 17, upper edge 4.5
+  h.observe(5.0);  // bucket 19, upper edge 5.5
   Profiler p;
   p.set_enabled(true);
   { const ScopedTimer t(p.site("hot"), p); }
@@ -41,9 +39,9 @@ TEST(ObsExport, MetricsJsonContainsAllKinds) {
   ASSERT_NE(pos_a, std::string::npos);
   ASSERT_NE(pos_b, std::string::npos);
   EXPECT_LT(pos_a, pos_b);
-  EXPECT_NE(json.find("\"load\": 0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"lat\": {\"upper_edges\": [1, 2], "
-                      "\"counts\": [1, 0, 1], \"total\": 2, \"sum\": 9.5}"),
+  EXPECT_NE(json.find("\"lat\": {\"buckets\": [[17, 1], [19, 1]], "
+                      "\"total\": 2, \"sum\": 9, \"p50\": 4.5, "
+                      "\"p90\": 5.5, \"p99\": 5.5, \"max\": 5.5}"),
             std::string::npos);
   EXPECT_NE(json.find("\"hot\": {\"calls\": 1, \"total_ns\": "),
             std::string::npos);
@@ -52,9 +50,9 @@ TEST(ObsExport, MetricsJsonContainsAllKinds) {
 TEST(ObsExport, MetricsJsonIsDeterministic) {
   Registry a;
   a.counter("x").inc(1);
-  a.gauge("g").set(2.0);
+  a.log_histogram("h", LogSpec::magnitude()).observe(2.0);
   Registry b;
-  b.gauge("g").set(2.0);
+  b.log_histogram("h", LogSpec::magnitude()).observe(2.0);
   b.counter("x").inc(1);
   Profiler p;
   EXPECT_EQ(metrics_json(a, p), metrics_json(b, p));
@@ -63,17 +61,17 @@ TEST(ObsExport, MetricsJsonIsDeterministic) {
 TEST(ObsExport, MetricsCsvRowsAndHistogramBuckets) {
   Registry r;
   r.counter("events").inc(3);
-  r.gauge("load").set(1.5);
-  Histogram& h = r.histogram("lat", {1.0});
-  h.add(0.5);
-  h.add(2.0);
+  LogHistogram& h = r.log_histogram("lat", LogSpec::magnitude());
+  h.observe(4.0);
+  h.observe(5.0);
   const std::string csv = metrics_csv(r);
   EXPECT_EQ(csv,
             "name,kind,value\n"
             "events,counter,3\n"
-            "load,gauge,1.5\n"
-            "lat[le=1],histogram,1\n"
-            "lat[le=inf],histogram,1\n");
+            "lat[bucket=17],log_histogram,1\n"
+            "lat[bucket=19],log_histogram,1\n"
+            "lat[p50],log_histogram,4.5\n"
+            "lat[p99],log_histogram,5.5\n");
 }
 
 TEST(ObsExport, ProfileReportListsSitesWithCalls) {

@@ -122,14 +122,5 @@ TEST(Registry, LogHistogramRegistrationAndSnapshot) {
   EXPECT_GE(ls.max, 2.0);
 }
 
-TEST(Counter, StoreTotalOverwritesValue) {
-  Counter c;
-  c.inc(5);
-  c.store_total(42);
-  EXPECT_EQ(c.value(), 42u);
-  c.inc(1);
-  EXPECT_EQ(c.value(), 43u);
-}
-
 }  // namespace
 }  // namespace bc::obs

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-#include <vector>
+#include <cstddef>
+#include <string>
 
 namespace bc::obs {
 namespace {
@@ -20,16 +19,6 @@ TEST(ObsRegistry, CounterFindOrCreateAndIncrement) {
   EXPECT_EQ(&r.counter("a.events"), &c);
   EXPECT_EQ(r.counter("a.events").value(), 5u);
   EXPECT_EQ(r.num_instruments(), 1u);
-}
-
-TEST(ObsRegistry, GaugeSetAddAndReset) {
-  Registry r;
-  Gauge& g = r.gauge("queue.depth");
-  g.set(3.0);
-  g.add(-1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(ObsRegistry, ReferencesSurviveLaterInsertions) {
@@ -53,17 +42,17 @@ TEST(ObsRegistry, SnapshotIsNameSorted) {
   r.counter("zeta").inc(1);
   r.counter("alpha").inc(2);
   r.counter("mid").inc(3);
-  r.gauge("g2").set(2.0);
-  r.gauge("g1").set(1.0);
+  r.log_histogram("h2", LogSpec::magnitude()).observe(2.0);
+  r.log_histogram("h1", LogSpec::magnitude()).observe(1.0);
   const Snapshot s = r.snapshot();
   ASSERT_EQ(s.counters.size(), 3u);
   EXPECT_EQ(s.counters[0].first, "alpha");
   EXPECT_EQ(s.counters[1].first, "mid");
   EXPECT_EQ(s.counters[2].first, "zeta");
   EXPECT_EQ(s.counters[0].second, 2u);
-  ASSERT_EQ(s.gauges.size(), 2u);
-  EXPECT_EQ(s.gauges[0].first, "g1");
-  EXPECT_EQ(s.gauges[1].first, "g2");
+  ASSERT_EQ(s.log_histograms.size(), 2u);
+  EXPECT_EQ(s.log_histograms[0].name, "h1");
+  EXPECT_EQ(s.log_histograms[1].name, "h2");
 }
 
 TEST(ObsRegistry, SnapshotIsDeterministicAcrossInsertionOrders) {
@@ -85,100 +74,52 @@ TEST(ObsRegistry, ResetValuesKeepsRegistrationsAndReferences) {
   Registry r;
   Counter& c = r.counter("c");
   c.inc(10);
-  Gauge& g = r.gauge("g");
-  g.set(4.0);
-  Histogram& h = r.histogram("h", {1.0, 2.0});
-  h.add(0.5);
+  LogHistogram& h = r.log_histogram("h", LogSpec::magnitude());
+  h.observe(3.0);
+  const std::size_t buckets = h.num_buckets();
   r.reset_values();
-  EXPECT_EQ(r.num_instruments(), 3u);
+  EXPECT_EQ(r.num_instruments(), 2u);
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   EXPECT_EQ(h.total(), 0u);
-  // Histogram shape survives the reset even though the counts are zeroed.
-  ASSERT_EQ(h.edges().size(), 2u);
+  // The bucket layout survives the reset even though the counts are zeroed.
+  EXPECT_EQ(h.num_buckets(), buckets);
   c.inc();
   EXPECT_EQ(r.counter("c").value(), 1u);
 }
 
 TEST(ObsRegistry, HistogramEdgesConsumedOnFirstCreationOnly) {
   Registry r;
-  Histogram& h = r.histogram("lat", {1.0, 2.0, 3.0});
-  // A later lookup with different edges returns the original instrument.
-  Histogram& again = r.histogram("lat", {99.0});
+  LogHistogram& h = r.log_histogram("rep", LogSpec::signed_unit());
+  // A later lookup with another geometry returns the original instrument.
+  LogHistogram& again = r.log_histogram("rep", LogSpec::magnitude());
   EXPECT_EQ(&h, &again);
-  ASSERT_EQ(again.edges().size(), 3u);
-  EXPECT_DOUBLE_EQ(again.edges()[2], 3.0);
+  EXPECT_TRUE(again.spec().with_negative);
+  EXPECT_EQ(again.num_buckets(),
+            LogHistogram(LogSpec::signed_unit()).num_buckets());
 }
 
-TEST(ObsHistogram, BucketEdgesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 4.0});
-  ASSERT_EQ(h.num_buckets(), 4u);  // 3 finite + overflow
-  h.add(0.0);   // -> bucket 0 (v <= 1.0)
-  h.add(1.0);   // -> bucket 0 (edge-exact lands below)
-  h.add(1.5);   // -> bucket 1
-  h.add(2.0);   // -> bucket 1
-  h.add(4.0);   // -> bucket 2
-  h.add(4.01);  // -> overflow
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0 + 1.0 + 1.5 + 2.0 + 4.0 + 4.01);
-}
-
-TEST(ObsHistogram, OverflowEdgeIsInfinity) {
-  Histogram h({1.0});
-  EXPECT_DOUBLE_EQ(h.upper_edge(0), 1.0);
-  EXPECT_TRUE(std::isinf(h.upper_edge(1)));
-  EXPECT_GT(h.upper_edge(1), 0.0);
-}
-
-TEST(ObsHistogram, UniformEdgesCoverRangeExactly) {
-  const std::vector<double> edges = Histogram::uniform_edges(-1.0, 1.0, 4);
-  ASSERT_EQ(edges.size(), 4u);
-  EXPECT_DOUBLE_EQ(edges[0], -0.5);
-  EXPECT_DOUBLE_EQ(edges[1], 0.0);
-  EXPECT_DOUBLE_EQ(edges[2], 0.5);
-  // The top edge is exact (no floating-point drift), so hi itself never
-  // falls into the overflow bucket.
-  EXPECT_DOUBLE_EQ(edges[3], 1.0);
-  Histogram h(edges);
-  h.add(1.0);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.count(4), 0u);
-}
-
-TEST(ObsHistogram, ResetZeroesCountsKeepsShape) {
-  Histogram h({1.0, 2.0});
-  h.add(0.5);
-  h.add(5.0);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.num_buckets(), 3u);
-  for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-    EXPECT_EQ(h.count(i), 0u);
-  }
-}
-
+// The shape of the per-class final-reputation histograms: signed values,
+// negative buckets first, and an exact fixed-point sum.
 TEST(ObsRegistry, HistogramSnapshotCarriesBucketsAndTotals) {
   Registry r;
-  Histogram& h = r.histogram("rep", {0.0, 1.0});
-  h.add(-0.5);
-  h.add(0.5);
-  h.add(2.0);
+  LogHistogram& h = r.log_histogram("rep", LogSpec::signed_unit());
+  h.observe(-0.5);
+  h.observe(0.25);
+  h.observe(0.25);
   const Snapshot s = r.snapshot();
-  ASSERT_EQ(s.histograms.size(), 1u);
-  const HistogramSnapshot& hs = s.histograms[0];
+  ASSERT_EQ(s.log_histograms.size(), 1u);
+  const LogHistogramSnapshot& hs = s.log_histograms[0];
   EXPECT_EQ(hs.name, "rep");
-  ASSERT_EQ(hs.upper_edges.size(), 2u);
-  ASSERT_EQ(hs.counts.size(), 3u);
-  EXPECT_EQ(hs.counts[0], 1u);
-  EXPECT_EQ(hs.counts[1], 1u);
-  EXPECT_EQ(hs.counts[2], 1u);
+  ASSERT_EQ(hs.buckets.size(), 2u);
+  EXPECT_EQ(hs.buckets[0].first, h.index_of(-0.5));
+  EXPECT_EQ(hs.buckets[0].second, 1u);
+  EXPECT_EQ(hs.buckets[1].first, h.index_of(0.25));
+  EXPECT_EQ(hs.buckets[1].second, 2u);
+  ASSERT_EQ(hs.bucket_edges.size(), 2u);
+  EXPECT_LT(hs.bucket_edges[0], 0.0);
+  EXPECT_GT(hs.bucket_edges[1], 0.0);
   EXPECT_EQ(hs.total, 3u);
-  EXPECT_DOUBLE_EQ(hs.sum, 2.0);
+  EXPECT_EQ(hs.sum_units, 0);
 }
 
 }  // namespace

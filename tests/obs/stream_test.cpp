@@ -20,7 +20,7 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
-// Golden-string check for the "bc.metrics.window.v1" schema. The NDJSON
+// Golden-string check for the "bc.metrics.window.v2" schema. The NDJSON
 // stream is a contract with the CI schema checker and with anything that
 // tails it — if this test needs updating, bump the schema id.
 TEST(MetricsStream, GoldenWindowLines) {
@@ -33,7 +33,6 @@ TEST(MetricsStream, GoldenWindowLines) {
 
   r.counter("a").inc(2);
   r.counter("b").inc(1);
-  r.gauge("g").set(1.5);
   LogHistogram& h = r.log_histogram("h", LogSpec::magnitude());
   h.observe(4.0);  // bucket 17, upper edge 4.5
   h.observe(5.0);  // bucket 19, upper edge 5.5
@@ -48,17 +47,16 @@ TEST(MetricsStream, GoldenWindowLines) {
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0],
-            "{\"schema\":\"bc.metrics.window.v1\",\"seq\":0,\"t\":3600,"
-            "\"counters\":{\"a\":2,\"b\":1},\"gauges\":{\"g\":1.5},"
+            "{\"schema\":\"bc.metrics.window.v2\",\"seq\":0,\"t\":3600,"
+            "\"counters\":{\"a\":2,\"b\":1},"
             "\"log_histograms\":{\"h\":{\"buckets\":[[17,1],[19,1]],"
             "\"total\":2,\"sum\":9,\"p50\":4.5,\"p99\":5.5,\"max\":5.5}}}");
   EXPECT_EQ(lines[1],
-            "{\"schema\":\"bc.metrics.window.v1\",\"seq\":1,\"t\":7200,"
-            "\"counters\":{\"a\":5},\"gauges\":{\"g\":1.5},"
-            "\"log_histograms\":{}}");
+            "{\"schema\":\"bc.metrics.window.v2\",\"seq\":1,\"t\":7200,"
+            "\"counters\":{\"a\":5},\"log_histograms\":{}}");
   EXPECT_EQ(lines[2],
-            "{\"schema\":\"bc.metrics.window.v1\",\"seq\":2,\"t\":10800,"
-            "\"counters\":{},\"gauges\":{\"g\":1.5},\"log_histograms\":{}}");
+            "{\"schema\":\"bc.metrics.window.v2\",\"seq\":2,\"t\":10800,"
+            "\"counters\":{},\"log_histograms\":{}}");
   EXPECT_EQ(s.windows_written(), 3u);
   std::remove(path.c_str());
 }
@@ -93,13 +91,14 @@ TEST(MetricsStream, CounterDeltasSumToEndOfRunTotals) {
   std::remove(path.c_str());
 }
 
-TEST(MetricsStream, SignedDeltaWhenStoreTotalRepublishesSmaller) {
+TEST(MetricsStream, SignedDeltaWhenResetLowersACounter) {
   Registry r;
-  r.counter("cache").store_total(10);
+  r.counter("cache").inc(10);
   MetricsStream s;
   const std::string path = ::testing::TempDir() + "bc_stream_signed.ndjson";
   ASSERT_TRUE(s.open(path, r));
-  r.counter("cache").store_total(4);  // lawful: external total re-published
+  r.reset_values();  // lawful mid-stream: the counter drops from 10 to 4
+  r.counter("cache").inc(4);
   s.emit_window(r, 1.0);
   s.close();
   const std::vector<std::string> lines = read_lines(path);

@@ -26,14 +26,13 @@ TEST(ObsTracer, DisabledEmitsNothing) {
   Tracer t;
   ASSERT_FALSE(t.enabled());
   t.instant("a", "cat", 1.0);
-  t.complete("b", "cat", 1.0, 2.0);
   t.counter("c", 1.0, 3.0);
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.to_json(), "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
 }
 
-// Golden-string check: the exact Chrome trace-event JSON for one instant,
-// one complete, and one counter event. chrome://tracing and Perfetto both
+// Golden-string check: the exact Chrome trace-event JSON for one instant
+// and one counter event. chrome://tracing and Perfetto both
 // consume this object form verbatim, so the serialization is a contract —
 // if this test needs updating, re-validate a real trace in a viewer.
 TEST(ObsTracer, GoldenJsonForKnownEvents) {
@@ -41,15 +40,12 @@ TEST(ObsTracer, GoldenJsonForKnownEvents) {
   t.set_enabled(true);
   t.instant("gossip.exchange", "gossip", 1.5,
             {{"initiator", "3"}, {"partner", "7"}});
-  t.complete("round", "community", 2.0, 0.25);
   t.counter("barter.messages_sent", 3.0, 42.0);
   const std::string expected =
       "{\"traceEvents\":["
       "{\"name\":\"gossip.exchange\",\"cat\":\"gossip\",\"ph\":\"i\","
       "\"pid\":0,\"tid\":0,\"ts\":1500000,"
       "\"args\":{\"initiator\":\"3\",\"partner\":\"7\"}},"
-      "{\"name\":\"round\",\"cat\":\"community\",\"ph\":\"X\","
-      "\"pid\":0,\"tid\":0,\"ts\":2000000,\"dur\":250000},"
       "{\"name\":\"barter.messages_sent\",\"cat\":\"metrics\",\"ph\":\"C\","
       "\"pid\":0,\"tid\":0,\"ts\":3000000,\"args\":{\"value\":42}}"
       "],\"displayTimeUnit\":\"ms\"}";
@@ -91,7 +87,7 @@ TEST(ObsTracer, ResetClearsBufferedEvents) {
 TEST(ObsTracer, WriteFileRoundTrips) {
   Tracer t;
   t.set_enabled(true);
-  t.complete("span", "c", 0.5, 0.5, {{"k", "v"}});
+  t.instant("ev", "c", 0.5, {{"k", "v"}});
   const std::string path = ::testing::TempDir() + "bc_obs_trace_test.json";
   ASSERT_TRUE(t.write_file(path));
   std::string read_back;

@@ -46,34 +46,6 @@ TEST(OnlineStats, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(s.sum(), 18.5);
 }
 
-TEST(OnlineStats, MergeEqualsSequential) {
-  Rng rng(3);
-  OnlineStats all, a, b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(1.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_NEAR(a.min(), all.min(), 1e-12);
-  EXPECT_NEAR(a.max(), all.max(), 1e-12);
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(Percentile, EmptyIsZero) {
   EXPECT_EQ(percentile({}, 0.5), 0.0);
 }
