@@ -74,8 +74,14 @@ int main(int argc, char** argv) {
   } else if (policy == "rank") {
     cfg.policy = bartercast::ReputationPolicy::rank();
   } else if (policy == "ban") {
-    cfg.policy = bartercast::ReputationPolicy::ban(
-        flags.get_double("delta", -0.5));
+    // ReputationPolicy::ban asserts this range; a bad value (NaN too) gets
+    // the usage instead.
+    const double delta = flags.get_double("delta", -0.5);
+    if (!(delta >= -1.0 && delta <= 0.0)) {
+      std::fputs("--delta must be a reputation value in [-1, 0]\n", stderr);
+      return fail_usage(argv[0]);
+    }
+    cfg.policy = bartercast::ReputationPolicy::ban(delta);
   } else {
     std::fprintf(stderr, "unknown policy '%s'\n", policy.c_str());
     return fail_usage(argv[0]);
@@ -128,8 +134,14 @@ int main(int argc, char** argv) {
     tr = trace::generate(tcfg);
   }
   if (flags.has("save-trace")) {
-    std::ofstream out(flags.get("save-trace", ""));
+    const std::string path = flags.get("save-trace", "");
+    std::ofstream out(path);
     trace::write_csv(tr, out);
+    out.close();
+    if (out.fail()) {
+      std::fprintf(stderr, "cannot write trace to %s\n", path.c_str());
+      return 1;
+    }
   }
 
   // --- run -----------------------------------------------------------

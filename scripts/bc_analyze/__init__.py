@@ -17,7 +17,8 @@ and fixtures):
                           (std::random_device, <random> engines, libc rand)
   G1 dense-index-leak     PeerIndex / NodeIndex / kNoNode outside src/graph/
   L3 escaping-capture     `&` capture in a lambda passed to
-                          Engine::schedule_at / _after / _periodic
+                          Engine::schedule_at / _after / _periodic or
+                          Overlay::schedule_delivery
   C1 raw-primitive        threads, thread_local, atomics, locks, async: the
                           process is single-threaded
   H1 raw-assert           assert() instead of BC_ASSERT / BC_DASSERT

@@ -218,7 +218,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bc_analyze.py",
         description=("BarterCast repository linter: determinism (D1-D3),"
-                     " dense-index encapsulation (G1), engine callback"
+                     " dense-index encapsulation (G1), stored callback"
                      " captures (L3), the single thread (C1) and the house"
                      " conventions (H1-H5)"))
     parser.add_argument("paths", nargs="*", default=None,

@@ -1,7 +1,8 @@
-"""Engine-callback capture rule L3.
+"""Stored-callback capture rule L3.
 
 L3 escaping-capture: sim::Engine stores every callback handed to
-   schedule_at / schedule_after / schedule_periodic and runs it later, from
+   schedule_at / schedule_after / schedule_periodic, and net::Overlay the
+   delivery callback handed to schedule_delivery, and runs it later, from
    the event loop. A lambda that captures anything by reference (`[&]`,
    `[&x]`, `[this, &x]`) keeps a pointer into the scheduling frame, which
    is gone by the time the event fires. Capture by value, or capture
@@ -15,7 +16,7 @@ import re
 from bc_analyze.model import Finding
 from bc_analyze.source import SourceFile, match_paren
 
-SCHEDULE_RE = re.compile(r"\bschedule_(?:at|after|periodic)\s*\(")
+SCHEDULE_RE = re.compile(r"\bschedule_(?:at|after|periodic|delivery)\s*\(")
 CAPTURE_LIST_RE = re.compile(r"\[([^\[\]]*)\]\s*(?:\(|\{|mutable\b|->)")
 
 
@@ -37,9 +38,9 @@ def check_l3(sf: SourceFile) -> list[Finding]:
                 line=sf.line_at(cm.start()),
                 message=(f"lambda passed to `{m.group(0).rstrip(' (')}`"
                          f" captures `{', '.join(by_ref)}` by reference:"
-                         " the engine stores the callback and runs it"
-                         " after this frame is gone — capture by value,"
-                         " or capture `this` and re-read state when the"
-                         " callback runs"),
+                         " the callback is stored and runs after this"
+                         " frame is gone — capture by value, or capture"
+                         " `this` and re-read state when the callback"
+                         " runs"),
             ))
     return out

@@ -46,7 +46,7 @@ std::string ScenarioConfig::validate() const {
       slander_claimed_upload < 0) {
     return "claimed upload volumes must be non-negative";
   }
-  if (seed_duration < 0.0) {
+  if (!(seed_duration >= 0.0)) {  // NaN too: `now >= NaN` never expires
     return "seed_duration must be non-negative, got " +
            std::to_string(seed_duration);
   }

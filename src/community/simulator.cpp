@@ -18,15 +18,17 @@ namespace bc::community {
 
 namespace {
 
-/// Overlay payload wrapping one BarterCast message. `is_reply` prevents
-/// reply loops in the bidirectional exchange.
-struct BarterPayload final : net::Payload {
-  bartercast::BarterCastMessage msg;
-  bool is_reply = false;
-};
-
 std::uint64_t pair_key(PeerId a, PeerId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+std::vector<bool> connectability(const trace::Trace& trace) {
+  std::vector<bool> connectable;
+  connectable.reserve(trace.peers.size());
+  for (const auto& profile : trace.peers) {
+    connectable.push_back(profile.connectable);
+  }
+  return connectable;
 }
 
 }  // namespace
@@ -36,7 +38,8 @@ CommunitySimulator::CommunitySimulator(trace::Trace trace,
     : trace_(std::move(trace)),
       config_(config),
       rng_(config.seed),
-      overlay_(engine_, Rng(config.seed ^ 0x6f6e6c696e65ULL)),
+      overlay_(engine_, Rng(config.seed ^ 0x6f6e6c696e65ULL),
+               connectability(trace_)),
       pss_(gossip::PeerSamplingService::Config{
           config.seed ^ 0x70737321ULL, /*view_size=*/20, /*exchange_size=*/8}),
       metrics_(trace_.duration, config.series_bin) {
@@ -114,14 +117,6 @@ void CommunitySimulator::setup_peers() {
     p.behavior = behaviors[id];
     cohorts_[p.behavior].push_back(id);  // ascending: id loop order
     p.node = std::make_unique<bartercast::Node>(id, config_.node);
-    overlay_.register_peer(
-        id,
-        [this, id](PeerId from, const net::Payload& payload) {
-          if (const auto* bp = dynamic_cast<const BarterPayload*>(&payload)) {
-            on_barter_message(id, from, bp->msg, bp->is_reply);
-          }
-        },
-        trace_.peers[id].connectable);
   }
 
   // PSS bootstrap: everyone starts off knowing a random handful of peers
@@ -544,16 +539,24 @@ void CommunitySimulator::gossip_tick(PeerId id) {
                     {"partner", std::to_string(partner)}});
   }
   peer(id).node->on_peer_seen(partner, engine_.now());
-  if (!peer(id).behavior->sends_messages()) return;
-  auto payload = std::make_unique<BarterPayload>();
-  payload->msg = make_outgoing_message(id);
-  payload->is_reply = false;
-  if (overlay_.send(id, partner, std::move(payload))) {
-    ++metrics_.messages.messages_sent;
-    static obs::Counter& sent =
-        obs::Registry::instance().counter("barter.messages_sent");
-    sent.inc();
+  if (peer(id).behavior->sends_messages()) {
+    send_message(id, partner, /*is_reply=*/false);
   }
+}
+
+void CommunitySimulator::send_message(PeerId from, PeerId to, bool is_reply) {
+  // Built before the reachability check, so a behavior's make_message runs
+  // once per attempt whether or not the message can leave.
+  bartercast::BarterCastMessage msg = make_outgoing_message(from);
+  const bool sent = overlay_.schedule_delivery(
+      from, to, [this, from, to, is_reply, msg = std::move(msg)] {
+        on_barter_message(to, from, msg, is_reply);
+      });
+  if (!sent) return;
+  ++metrics_.messages.messages_sent;
+  static obs::Counter& sent_c =
+      obs::Registry::instance().counter("barter.messages_sent");
+  sent_c.inc();
 }
 
 void CommunitySimulator::on_barter_message(
@@ -596,15 +599,7 @@ void CommunitySimulator::on_barter_message(
   p.node->on_peer_seen(sender, engine_.now());
   // Bidirectional exchange: answer a fresh message with our own records.
   if (!is_reply && p.behavior->sends_messages()) {
-    auto payload = std::make_unique<BarterPayload>();
-    payload->msg = make_outgoing_message(receiver);
-    payload->is_reply = true;
-    if (overlay_.send(receiver, sender, std::move(payload))) {
-      ++metrics_.messages.messages_sent;
-      static obs::Counter& sent =
-          obs::Registry::instance().counter("barter.messages_sent");
-      sent.inc();
-    }
+    send_message(receiver, sender, /*is_reply=*/true);
   }
 }
 

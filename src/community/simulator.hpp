@@ -55,7 +55,6 @@ class CommunitySimulator {
   /// permanently while online).
   bool is_initial_holder(PeerId peer, SwarmId swarm_id) const;
   const bartercast::Node& node(PeerId peer) const;
-  const net::Overlay& overlay() const { return overlay_; }
   const sim::Engine& engine() const { return engine_; }
   const bt::Swarm& swarm(SwarmId id) const;
 
@@ -121,6 +120,10 @@ class CommunitySimulator {
   void round();
   void choke_swarm(SwarmId swarm_id, const std::vector<PeerId>& online);
   void gossip_tick(PeerId peer);
+  /// Builds `from`'s outgoing BarterCast message and sends it to `to`;
+  /// `is_reply` marks the answer of the bidirectional exchange, which is
+  /// not answered again.
+  void send_message(PeerId from, PeerId to, bool is_reply);
   void on_barter_message(PeerId receiver, PeerId sender,
                          const bartercast::BarterCastMessage& msg,
                          bool is_reply);

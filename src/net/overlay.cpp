@@ -1,75 +1,20 @@
 #include "net/overlay.hpp"
 
-#include <utility>
-
 #include "util/assert.hpp"
 
 namespace bc::net {
 
-Overlay::Overlay(sim::Engine& engine, Rng rng, LatencyModel latency)
+Overlay::Overlay(sim::Engine& engine, Rng rng,
+                 const std::vector<bool>& connectable, LatencyModel latency)
     : engine_(engine), rng_(rng), latency_(latency) {
   BC_ASSERT(latency_.min >= 0.0 && latency_.max >= latency_.min);
+  peers_.reserve(connectable.size());
+  for (const bool c : connectable) peers_.push_back(PeerFlags{c, false});
 }
-
-void Overlay::register_peer(PeerId id, Handler handler, bool connectable) {
-  BC_ASSERT(handler != nullptr);
-  const auto [_, inserted] =
-      peers_.emplace(id, PeerState{std::move(handler), connectable, false});
-  BC_ASSERT_MSG(inserted, "peer registered twice");
-}
-
-bool Overlay::is_registered(PeerId id) const { return peers_.contains(id); }
 
 void Overlay::set_online(PeerId id, bool online) {
-  auto it = peers_.find(id);
-  BC_ASSERT_MSG(it != peers_.end(), "unknown peer");
-  it->second.online = online;
-}
-
-bool Overlay::online(PeerId id) const {
-  auto it = peers_.find(id);
-  return it != peers_.end() && it->second.online;
-}
-
-bool Overlay::connectable(PeerId id) const {
-  auto it = peers_.find(id);
-  return it != peers_.end() && it->second.connectable;
-}
-
-bool Overlay::can_communicate(PeerId a, PeerId b) const {
-  if (a == b) return false;
-  return online(a) && online(b) && (connectable(a) || connectable(b));
-}
-
-bool Overlay::send(PeerId from, PeerId to,
-                   std::unique_ptr<Payload> message) {
-  BC_ASSERT(message != nullptr);
-  ++stats_.sent;
-  if (!online(from)) {
-    ++stats_.dropped_sender_offline;
-    return false;
-  }
-  if (!online(to)) {
-    ++stats_.dropped_receiver_offline;
-    return false;
-  }
-  if (!can_communicate(from, to)) {
-    ++stats_.dropped_unconnectable;
-    return false;
-  }
-  const Seconds delay = rng_.uniform(latency_.min, latency_.max);
-  // Shared_ptr so the lambda stays copyable (std::function requirement).
-  std::shared_ptr<Payload> payload = std::move(message);
-  engine_.schedule_after(delay, [this, from, to, payload] {
-    auto it = peers_.find(to);
-    if (it == peers_.end() || !it->second.online) {
-      ++stats_.dropped_receiver_offline;
-      return;
-    }
-    ++stats_.delivered;
-    it->second.handler(from, *payload);
-  });
-  return true;
+  BC_ASSERT_MSG(id < peers_.size(), "unknown peer");
+  peers_[id].online = online;
 }
 
 }  // namespace bc::net

@@ -6,14 +6,14 @@
 // peers can communicate only if both are online and at least one of them is
 // connectable.
 //
-// Payloads are polymorphic (Payload subclass per protocol message); the
-// receiver's handler downcasts. This keeps the overlay independent of the
-// protocols layered on it (gossip, BarterCast).
+// A message is its delivery callback: the overlay decides whether it
+// leaves, draws its latency and runs the callback then unless the receiver
+// went offline meanwhile. It never sees the message's contents, so it stays
+// independent of the protocols layered on it (gossip, BarterCast).
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "util/ids.hpp"
@@ -21,12 +21,6 @@
 #include "util/units.hpp"
 
 namespace bc::net {
-
-/// Base class for protocol messages carried by the overlay.
-class Payload {
- public:
-  virtual ~Payload() = default;
-};
 
 /// Uniform random latency in [min, max). Deterministic given the overlay rng.
 struct LatencyModel {
@@ -36,44 +30,45 @@ struct LatencyModel {
 
 class Overlay {
  public:
-  using Handler =
-      std::function<void(PeerId from, const Payload& message)>;
+  /// Peers are 0 .. connectable.size()-1 and start offline.
+  /// `connectable[p]` models p's NAT/firewall reachability and is fixed for
+  /// the run (as in the trace schema).
+  Overlay(sim::Engine& engine, Rng rng, const std::vector<bool>& connectable,
+          LatencyModel latency = {});
 
-  struct Stats {
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped_sender_offline = 0;
-    std::uint64_t dropped_receiver_offline = 0;
-    std::uint64_t dropped_unconnectable = 0;
-  };
-
-  Overlay(sim::Engine& engine, Rng rng, LatencyModel latency = {});
-
-  /// Registers a peer. `connectable` models NAT/firewall reachability and is
-  /// fixed for the lifetime of the peer (as in the trace schema). Peers
-  /// start offline.
-  void register_peer(PeerId id, Handler handler, bool connectable);
-
-  bool is_registered(PeerId id) const;
   void set_online(PeerId id, bool online);
-  bool online(PeerId id) const;
-  bool connectable(PeerId id) const;
+  /// False for ids outside the overlay, as is connectable().
+  bool online(PeerId id) const {
+    return id < peers_.size() && peers_[id].online;
+  }
+  bool connectable(PeerId id) const {
+    return id < peers_.size() && peers_[id].connectable;
+  }
 
   /// Two peers can exchange messages iff both are online and at least one
   /// is connectable (the connectable one accepts the connection).
-  bool can_communicate(PeerId a, PeerId b) const;
+  bool can_communicate(PeerId a, PeerId b) const {
+    return a != b && online(a) && online(b) &&
+           (connectable(a) || connectable(b));
+  }
 
-  /// Sends a message; it is delivered after the latency delay if the
-  /// receiver is still online at delivery time (otherwise dropped). Returns
-  /// true if the message left the sender (i.e. the pair could communicate).
-  bool send(PeerId from, PeerId to, std::unique_ptr<Payload> message);
-
-  const Stats& stats() const { return stats_; }
-  sim::Engine& engine() { return engine_; }
+  /// Sends a message from `from` to `to`. If the pair can communicate, one
+  /// latency draw places the delivery, and `deliver()` runs then if `to` is
+  /// still online (otherwise the message is dropped). Returns whether the
+  /// message left the sender. The engine stores `deliver` until then, so it
+  /// must not capture the caller's locals by reference (bc-analyze L3).
+  template <class Deliver>
+  bool schedule_delivery(PeerId from, PeerId to, Deliver deliver) {
+    if (!can_communicate(from, to)) return false;
+    const Seconds delay = rng_.uniform(latency_.min, latency_.max);
+    engine_.schedule_after(delay, [this, to, deliver = std::move(deliver)] {
+      if (online(to)) deliver();
+    });
+    return true;
+  }
 
  private:
-  struct PeerState {
-    Handler handler;
+  struct PeerFlags {
     bool connectable = false;
     bool online = false;
   };
@@ -81,8 +76,7 @@ class Overlay {
   sim::Engine& engine_;
   Rng rng_;
   LatencyModel latency_;
-  std::unordered_map<PeerId, PeerState> peers_;
-  Stats stats_;
+  std::vector<PeerFlags> peers_;
 };
 
 }  // namespace bc::net

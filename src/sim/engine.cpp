@@ -19,94 +19,70 @@ Engine::~Engine() {
   Logger::instance().clear_time_provider(this);
 }
 
-EventId Engine::schedule_at(Seconds t, EventFn fn) {
+void Engine::push(Seconds t, EventFn fn, Seconds period) {
   BC_ASSERT_MSG(t >= now_, "cannot schedule events in the past");
   BC_ASSERT(fn != nullptr);
-  const EventId id = next_id_++;
-  payloads_.emplace(id, std::move(fn));
-  queue_.push(Event{t, id});
-  return id;
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{std::move(fn), period});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = Slot{std::move(fn), period};
+  }
+  queue_.push(Event{t, next_id_++, slot});
 }
 
-EventId Engine::schedule_after(Seconds dt, EventFn fn) {
+void Engine::schedule_at(Seconds t, EventFn fn) {
+  push(t, std::move(fn), 0.0);
+}
+
+void Engine::schedule_after(Seconds dt, EventFn fn) {
   BC_ASSERT(dt >= 0.0);
-  return schedule_at(now_ + dt, std::move(fn));
+  push(now_ + dt, std::move(fn), 0.0);
 }
 
-EventId Engine::schedule_periodic(Seconds start, Seconds period, EventFn fn) {
+void Engine::schedule_periodic(Seconds start, Seconds period, EventFn fn) {
   BC_ASSERT(period > 0.0);
-  BC_ASSERT(fn != nullptr);
-  const EventId id = next_id_++;
-  periodics_.emplace(id, Periodic{period, std::move(fn)});
-  // The heap entry reuses the same id on every repetition, so one cancel()
-  // stops the whole series.
-  payloads_.emplace(id, EventFn{});  // marker; real fn lives in periodics_
-  queue_.push(Event{start, id});
-  return id;
-}
-
-void Engine::cancel(EventId id) {
-  payloads_.erase(id);
-  periodics_.erase(id);
+  push(start, std::move(fn), period);
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    auto payload = payloads_.find(ev.id);
-    if (payload == payloads_.end()) continue;  // cancelled
-    BC_ASSERT(ev.time >= now_);
-    now_ = ev.time;
-    ++processed_;
-    BC_OBS_SCOPE("sim.dispatch");
-    static obs::Counter& dispatched =
-        obs::Registry::instance().counter("sim.events_dispatched");
-    dispatched.inc();
-    const bool is_periodic = periodics_.contains(ev.id);
-    if (auto& tracer = obs::Tracer::instance(); tracer.enabled()) {
-      tracer.instant(is_periodic ? "periodic" : "event", "engine", now_,
-                     {{"id", std::to_string(ev.id)}});
-    }
-    if (auto periodic = periodics_.find(ev.id); periodic != periodics_.end()) {
-      // Re-arm before running so the callback may cancel itself.
-      queue_.push(Event{now_ + periodic->second.period, ev.id});
-      // Copy: the callback may cancel(id) and invalidate the map entry.
-      EventFn fn = periodic->second.fn;
-      fn();
-    } else {
-      EventFn fn = std::move(payload->second);
-      payloads_.erase(payload);
-      fn();
-    }
-    return true;
+  if (queue_.empty()) return false;
+  const Event ev = queue_.top();
+  queue_.pop();
+  BC_ASSERT(ev.time >= now_);
+  now_ = ev.time;
+  ++processed_;
+  BC_OBS_SCOPE("sim.dispatch");
+  static obs::Counter& dispatched =
+      obs::Registry::instance().counter("sim.events_dispatched");
+  dispatched.inc();
+  Slot& slot = slots_[ev.slot];
+  const Seconds period = slot.period;
+  if (auto& tracer = obs::Tracer::instance(); tracer.enabled()) {
+    tracer.instant(period > 0.0 ? "periodic" : "event", "engine", now_,
+                   {{"id", std::to_string(ev.id)}});
   }
-  return false;
+  EventFn fn = std::move(slot.fn);
+  if (period > 0.0) {
+    // Re-armed under its first id before it runs; the callback goes back
+    // to its slot afterwards.
+    queue_.push(Event{now_ + period, ev.id, ev.slot});
+    fn();
+    slots_[ev.slot].fn = std::move(fn);
+  } else {
+    free_slots_.push_back(ev.slot);
+    fn();
+  }
+  return true;
 }
 
 void Engine::run_until(Seconds t_end) {
   BC_ASSERT(t_end >= now_);
-  while (!queue_.empty()) {
-    // Peek through cancelled entries without executing.
-    const Event ev = queue_.top();
-    if (!payloads_.contains(ev.id)) {
-      queue_.pop();
-      continue;
-    }
-    if (ev.time > t_end) break;
-    step();
-  }
+  while (!queue_.empty() && queue_.top().time <= t_end) step();
   now_ = t_end;
-}
-
-void Engine::run() {
-  while (step()) {
-  }
-}
-
-std::size_t Engine::pending_events() const {
-  // Upper bound only if cancellations are pending; exact after they drain.
-  return payloads_.size();
 }
 
 std::optional<Seconds> Engine::next_event_time() const {

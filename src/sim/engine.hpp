@@ -1,24 +1,21 @@
 // Discrete-event simulation engine.
 //
 // Single-threaded by design (see DESIGN.md): one Engine owns one simulated
-// world. Events at equal timestamps run in scheduling order (a monotonically
-// increasing sequence number breaks ties), which makes runs bit-identical
-// for a given scenario seed.
+// world. Every schedule_* call takes the next id, and events at equal
+// timestamps run in id order (the order they were scheduled), which makes
+// runs bit-identical for a given scenario seed. A periodic event keeps its
+// first id for every firing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/units.hpp"
 
 namespace bc::sim {
-
-/// Handle to a scheduled (or periodic) event, usable for cancellation.
-using EventId = std::uint64_t;
 
 class Engine {
  public:
@@ -39,52 +36,42 @@ class Engine {
   /// Current simulation time. Starts at 0.
   Seconds now() const { return now_; }
 
-  /// Number of events executed so far (skipped/cancelled events excluded).
+  /// Number of events executed so far.
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now). Returns a cancellable id.
-  EventId schedule_at(Seconds t, EventFn fn);
+  /// Schedules `fn` at absolute time `t` (>= now).
+  void schedule_at(Seconds t, EventFn fn);
 
   /// Schedules `fn` after a delay `dt` (>= 0).
-  EventId schedule_after(Seconds dt, EventFn fn);
+  void schedule_after(Seconds dt, EventFn fn);
 
-  /// Schedules `fn` every `period` seconds, first firing at `start`.
-  /// The callback keeps firing until the returned id is cancelled or the
-  /// run ends. `period` must be > 0.
-  EventId schedule_periodic(Seconds start, Seconds period, EventFn fn);
-
-  /// Cancels a pending or periodic event. Safe to call redundantly, also
-  /// from inside event callbacks (including the event's own callback, in
-  /// which case a periodic event stops repeating).
-  void cancel(EventId id);
+  /// Schedules `fn` every `period` seconds (> 0), first firing at `start`
+  /// (>= now), for as long as the run lasts. Each firing is re-armed
+  /// before `fn` runs.
+  void schedule_periodic(Seconds start, Seconds period, EventFn fn);
 
   /// Executes the next pending event, if any. Returns false when the queue
   /// has drained.
   bool step();
 
   /// Runs until the queue drains or simulation time would exceed `t_end`.
-  /// Events scheduled exactly at `t_end` still run. Afterwards now()==t_end
-  /// unless the queue drained earlier.
+  /// Events scheduled exactly at `t_end` still run. Afterwards now()==t_end.
   void run_until(Seconds t_end);
 
-  /// Drains the queue completely.
-  void run();
-
-  std::size_t pending_events() const;
-
-  /// Timestamp of the earliest queued heap entry (cancelled entries
-  /// included), or nullopt when the queue is empty. Never earlier than
-  /// now(): schedule_at refuses events in the past, which the bc::check
-  /// monotonicity audit re-verifies through this accessor.
+  /// Timestamp of the earliest queued event, or nullopt when the queue is
+  /// empty. Never earlier than now(): scheduling refuses events in the
+  /// past, which the bc::check monotonicity audit re-verifies through this
+  /// accessor.
   std::optional<Seconds> next_event_time() const;
 
  private:
   struct Event {
     Seconds time;
-    EventId id;
+    std::uint64_t id;
+    std::uint32_t slot;  // index into slots_
     // Ordering for the min-heap: earliest time first, then lowest id, so
-    // same-time events run in the order they were scheduled. </> instead
-    // of != keeps the exact-tie branch explicit.
+    // same-time events run in the order they were scheduled.
+    // </> instead of != keeps the exact-tie branch explicit.
     bool operator>(const Event& other) const {
       if (time > other.time) return true;
       if (time < other.time) return false;
@@ -92,18 +79,23 @@ class Engine {
     }
   };
 
-  struct Periodic {
-    Seconds period;
+  /// A callback and, for a periodic event, its period (0 for one-shots).
+  /// A one-shot's slot is freed for reuse when it runs; a periodic's is
+  /// held for the whole run. A callback runs moved out of its slot, so the
+  /// events it schedules may grow slots_ without moving it.
+  struct Slot {
     EventFn fn;
+    Seconds period = 0.0;
   };
 
-  EventId next_id_ = 1;
+  void push(Seconds t, EventFn fn, Seconds period);
+
+  std::uint64_t next_id_ = 1;
   Seconds now_ = 0.0;
   std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // Payloads live outside the heap so cancellation frees them promptly.
-  std::unordered_map<EventId, EventFn> payloads_;
-  std::unordered_map<EventId, Periodic> periodics_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace bc::sim

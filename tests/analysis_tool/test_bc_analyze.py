@@ -88,6 +88,7 @@ class BadFixtures(unittest.TestCase):
             ("h_pragma_late.hpp", 3, "H3"),
             ("l3_capture.cpp", 16, "L3"),
             ("l3_capture.cpp", 17, "L3"),
+            ("l3_delivery_capture.cpp", 17, "L3"),
             ("sup_bad.cpp", 7, "SUP"),
             ("sup_bad.cpp", 10, "D1"),
             ("sup_bad.cpp", 14, "SUP"),
@@ -107,6 +108,11 @@ class BadFixtures(unittest.TestCase):
         line = self._line("l3_capture.cpp:17:")
         self.assertIn("schedule_after", line)
         self.assertIn("`&sent`", line)
+
+    def test_l3_sees_the_overlay_delivery_callback(self):
+        line = self._line("l3_delivery_capture.cpp:17:")
+        self.assertIn("schedule_delivery", line)
+        self.assertIn("`&records, &inbox`", line)
 
 
 class GoodFixtures(unittest.TestCase):

@@ -3,6 +3,8 @@
 // (construction aborts with the validation message).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "community/simulator.hpp"
 #include "trace/generator.hpp"
 
@@ -62,6 +64,18 @@ TEST(ScenarioValidate, AdversaryKnobsChecked) {
   cfg = ScenarioConfig{};
   cfg.mobile_churn_period = -1.0;
   EXPECT_NE(cfg.validate().find("mobile_churn_period"), std::string::npos);
+}
+
+TEST(ScenarioValidate, SeedDurationMustBeANonNegativeNumber) {
+  // A NaN deadline never expires (`now >= NaN` is false), so a sharer
+  // would seed forever.
+  ScenarioConfig cfg;
+  cfg.seed_duration = 0.0;
+  EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
+  cfg.seed_duration = -1.0;
+  EXPECT_NE(cfg.validate().find("seed_duration"), std::string::npos);
+  cfg.seed_duration = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(cfg.validate().find("seed_duration"), std::string::npos);
 }
 
 TEST(ScenarioValidate, OnlyOneThreadAccepted) {

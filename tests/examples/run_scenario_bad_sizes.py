@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""run_scenario must reject a bad trace size with its usage and exit 2.
+"""run_scenario must fail loudly on bad input, before it simulates anything.
+
+A bad trace size or ban threshold gets the usage and exit 2; a seeding
+period the scenario rejects, or a --save-trace path that cannot be written,
+gets a message and exit 1.
 
 Usage: run_scenario_bad_sizes.py <run_scenario binary>
 
@@ -10,23 +14,41 @@ the trace generator for about 2^64 peers and never returns.
 import subprocess
 import sys
 
-BAD_ARGS = ["--peers=0", "--days=0", "--peers=-5", "--swarms=-1",
-            "--peers=abc", "--days=nan", "--days=inf"]
+# Small sizes keep a case fast even where the check it tests is missing.
+SMALL = ["--peers=5", "--swarms=1", "--days=1"]
+
+# (arguments, expected exit code); exit 2 must also print the usage.
+CASES = [
+    (["--peers=0"], 2),
+    (["--days=0"], 2),
+    (["--peers=-5"], 2),
+    (["--swarms=-1"], 2),
+    (["--peers=abc"], 2),
+    (["--days=nan"], 2),
+    (["--days=inf"], 2),
+    (["--policy=ban", "--delta=0.5", *SMALL], 2),
+    (["--policy=ban", "--delta=nan", *SMALL], 2),
+    (["--seed-hours=nan", *SMALL], 1),
+    (["--save-trace=/nonexistent/t.csv", *SMALL], 1),
+]
 TIMEOUT_S = 20
 
 
 def main() -> int:
     failures = []
-    for arg in BAD_ARGS:
+    for args, expected in CASES:
+        label = " ".join(args)
         try:
-            proc = subprocess.run([sys.argv[1], arg], capture_output=True,
+            proc = subprocess.run([sys.argv[1], *args], capture_output=True,
                                   text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            failures.append(f"{arg}: still running after {TIMEOUT_S} s")
+            failures.append(f"{label}: still running after {TIMEOUT_S} s")
             continue
-        if proc.returncode != 2 or "usage:" not in proc.stderr:
-            failures.append(f"{arg}: exit {proc.returncode}, stderr"
-                            f" {proc.stderr[-200:]!r}")
+        explained = ("usage:" in proc.stderr if expected == 2
+                     else proc.stderr.strip() != "")
+        if proc.returncode != expected or not explained:
+            failures.append(f"{label}: exit {proc.returncode} (want"
+                            f" {expected}), stderr {proc.stderr[-200:]!r}")
     for f in failures:
         print(f, file=sys.stderr)
     return 1 if failures else 0

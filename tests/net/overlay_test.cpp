@@ -7,29 +7,25 @@
 namespace bc::net {
 namespace {
 
-struct TestPayload final : Payload {
-  explicit TestPayload(int v) : value(v) {}
-  int value;
-};
-
+// Peers 0-2 are connectable, 3 and 4 sit behind NAT; all start offline.
 struct Fixture : ::testing::Test {
-  Fixture() : overlay(engine, Rng(1)) {}
+  Fixture() : overlay(engine, Rng(1), {true, true, true, false, false}) {}
 
-  void add_peer(PeerId id, bool connectable, bool online = true) {
-    overlay.register_peer(
-        id,
-        [this, id](PeerId from, const Payload& p) {
-          const auto* tp = dynamic_cast<const TestPayload*>(&p);
-          received.push_back({id, from, tp != nullptr ? tp->value : -1});
-        },
-        connectable);
-    if (online) overlay.set_online(id, true);
+  void go_online(std::initializer_list<PeerId> ids) {
+    for (PeerId id : ids) overlay.set_online(id, true);
+  }
+
+  bool send(PeerId from, PeerId to, int value) {
+    return overlay.schedule_delivery(from, to, [this, from, to, value] {
+      received.push_back({to, from, value, engine.now()});
+    });
   }
 
   struct Delivery {
     PeerId to;
     PeerId from;
     int value;
+    Seconds at;
   };
 
   sim::Engine engine;
@@ -38,115 +34,93 @@ struct Fixture : ::testing::Test {
 };
 
 TEST_F(Fixture, DeliversAfterLatency) {
-  add_peer(1, true);
-  add_peer(2, true);
-  EXPECT_TRUE(overlay.send(1, 2, std::make_unique<TestPayload>(42)));
+  go_online({1, 2});
+  EXPECT_TRUE(send(1, 2, 42));
   EXPECT_TRUE(received.empty());  // not synchronous
-  engine.run();
+  engine.run_until(1.0);
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].to, 2u);
   EXPECT_EQ(received[0].from, 1u);
   EXPECT_EQ(received[0].value, 42);
-  EXPECT_GT(engine.now(), 0.0);
-  EXPECT_EQ(overlay.stats().delivered, 1u);
+  EXPECT_GT(received[0].at, 0.0);
 }
 
 TEST_F(Fixture, OfflineSenderDropsImmediately) {
-  add_peer(1, true, /*online=*/false);
-  add_peer(2, true);
-  EXPECT_FALSE(overlay.send(1, 2, std::make_unique<TestPayload>(1)));
-  engine.run();
+  go_online({2});
+  EXPECT_FALSE(send(1, 2, 1));
+  EXPECT_FALSE(engine.next_event_time().has_value());  // nothing in flight
+  engine.run_until(1.0);
   EXPECT_TRUE(received.empty());
-  EXPECT_EQ(overlay.stats().dropped_sender_offline, 1u);
 }
 
 TEST_F(Fixture, OfflineReceiverDropsImmediately) {
-  add_peer(1, true);
-  add_peer(2, true, /*online=*/false);
-  EXPECT_FALSE(overlay.send(1, 2, std::make_unique<TestPayload>(1)));
-  EXPECT_EQ(overlay.stats().dropped_receiver_offline, 1u);
+  go_online({1});
+  EXPECT_FALSE(send(1, 2, 1));
+  EXPECT_FALSE(engine.next_event_time().has_value());
 }
 
 TEST_F(Fixture, ReceiverGoingOfflineBeforeDeliveryDrops) {
-  add_peer(1, true);
-  add_peer(2, true);
-  EXPECT_TRUE(overlay.send(1, 2, std::make_unique<TestPayload>(1)));
+  go_online({1, 2});
+  EXPECT_TRUE(send(1, 2, 1));
   overlay.set_online(2, false);  // goes offline before the latency elapses
-  engine.run();
+  engine.run_until(1.0);
   EXPECT_TRUE(received.empty());
-  EXPECT_EQ(overlay.stats().dropped_receiver_offline, 1u);
 }
 
 TEST_F(Fixture, TwoNatedPeersCannotCommunicate) {
-  add_peer(1, false);
-  add_peer(2, false);
-  EXPECT_FALSE(overlay.can_communicate(1, 2));
-  EXPECT_FALSE(overlay.send(1, 2, std::make_unique<TestPayload>(1)));
-  EXPECT_EQ(overlay.stats().dropped_unconnectable, 1u);
+  go_online({3, 4});
+  EXPECT_FALSE(overlay.can_communicate(3, 4));
+  EXPECT_FALSE(send(3, 4, 1));
+  EXPECT_FALSE(engine.next_event_time().has_value());
 }
 
 TEST_F(Fixture, OneConnectableSideSuffices) {
-  add_peer(1, false);
-  add_peer(2, true);
-  EXPECT_TRUE(overlay.can_communicate(1, 2));
-  EXPECT_TRUE(overlay.can_communicate(2, 1));
+  go_online({3, 2});
+  EXPECT_TRUE(overlay.can_communicate(3, 2));
+  EXPECT_TRUE(overlay.can_communicate(2, 3));
 }
 
 TEST_F(Fixture, NoSelfCommunication) {
-  add_peer(1, true);
+  go_online({1});
   EXPECT_FALSE(overlay.can_communicate(1, 1));
+  EXPECT_FALSE(send(1, 1, 1));
 }
 
 TEST_F(Fixture, OfflinePeerNotCommunicable) {
-  add_peer(1, true);
-  add_peer(2, true, /*online=*/false);
+  go_online({1});
   EXPECT_FALSE(overlay.can_communicate(1, 2));
   overlay.set_online(2, true);
   EXPECT_TRUE(overlay.can_communicate(1, 2));
 }
 
 TEST_F(Fixture, UnregisteredPeerQueries) {
-  EXPECT_FALSE(overlay.is_registered(9));
+  // Ids outside the overlay are neither online nor connectable.
   EXPECT_FALSE(overlay.online(9));
   EXPECT_FALSE(overlay.connectable(9));
-  add_peer(9, true);
-  EXPECT_TRUE(overlay.is_registered(9));
+  EXPECT_TRUE(overlay.connectable(2));
+  EXPECT_FALSE(overlay.connectable(3));
 }
 
 TEST_F(Fixture, LatencyWithinConfiguredBounds) {
-  add_peer(1, true);
-  add_peer(2, true);
-  for (int i = 0; i < 20; ++i) {
-    overlay.send(1, 2, std::make_unique<TestPayload>(i));
-  }
-  engine.run();
+  go_online({1, 2});
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(send(1, 2, i));
+  engine.run_until(0.25);  // default LatencyModel max, inclusive
   EXPECT_EQ(received.size(), 20u);
-  EXPECT_LE(engine.now(), 0.25);  // default LatencyModel max
+  for (const Delivery& d : received) EXPECT_GE(d.at, 0.02);  // default min
 }
 
 TEST_F(Fixture, ManyMessagesAllCounted) {
-  add_peer(1, true);
-  add_peer(2, true);
-  add_peer(3, false);
-  overlay.send(1, 2, std::make_unique<TestPayload>(1));
-  overlay.send(2, 3, std::make_unique<TestPayload>(2));
-  overlay.send(3, 1, std::make_unique<TestPayload>(3));
-  engine.run();
-  EXPECT_EQ(overlay.stats().sent, 3u);
-  EXPECT_EQ(overlay.stats().delivered, 3u);
-}
-
-TEST(OverlayDeathTest, DoubleRegistrationRejected) {
-  sim::Engine engine;
-  Overlay overlay(engine, Rng(1));
-  overlay.register_peer(1, [](PeerId, const Payload&) {}, true);
-  EXPECT_DEATH(overlay.register_peer(1, [](PeerId, const Payload&) {}, true),
-               "twice");
+  go_online({1, 2, 3});
+  EXPECT_TRUE(send(1, 2, 1));
+  EXPECT_TRUE(send(2, 3, 2));
+  EXPECT_TRUE(send(3, 1, 3));
+  engine.run_until(1.0);
+  EXPECT_EQ(received.size(), 3u);
 }
 
 TEST(OverlayDeathTest, SetOnlineUnknownPeerRejected) {
   sim::Engine engine;
-  Overlay overlay(engine, Rng(1));
+  Overlay overlay(engine, Rng(1), {true, false});
   EXPECT_DEATH(overlay.set_online(5, true), "unknown");
 }
 
