@@ -1,4 +1,4 @@
-// Adversary zoo: every registry attack archetype against every
+// Adversary zoo: every catalog attack archetype against every
 // reputation-aggregation backend.
 //
 // §5.4 studies two manipulations (ignoring and lying); §6 leaves "die-hard

@@ -18,11 +18,10 @@
 //   --metrics-stream=F  append one NDJSON line of windowed metric deltas
 //                   per snapshot interval of sim time to F (tail-able
 //                   mid-run; see src/obs/stream.hpp for the schema).
-//   --trace-ring=N  flight-recorder mode: keep only the most recent N
-//                   trace events (implies --trace-out semantics for the
-//                   dump). SIGUSR1 requests a mid-run dump of the ring to
-//                   the --trace-out path; a failed invariant audit dumps
-//                   it automatically before aborting.
+//   --trace-ring=N  flight-recorder mode, with --trace-out: keep only the
+//                   most recent N trace events. SIGUSR1 requests a mid-run
+//                   dump of the ring to the --trace-out path; a failed
+//                   invariant audit dumps it automatically before aborting.
 //   --profile       enable the scoped wall-time profiler and print the
 //                   per-site report (maxflow/gossip/choker attribution).
 #include <csignal>
@@ -50,7 +49,8 @@ int main(int argc, char** argv) {
       {"metrics-csv", "write metrics CSV to this path"},
       {"trace-out", "write a sim-time Chrome trace JSON to this path"},
       {"metrics-stream", "append windowed metric deltas (NDJSON) to this path"},
-      {"trace-ring", "flight recorder: keep only the last N trace events"},
+      {"trace-ring",
+       "flight recorder (with --trace-out): keep only the last N events"},
       {"profile", "profile hot sites and print the report"},
       {"population", "behavior spec, e.g. \"sharer:0.5,lazy:0.3,sybil:0.2\""},
       {"backend", "reputation backend: maxflow (default) or gossip"},
@@ -69,6 +69,12 @@ int main(int argc, char** argv) {
   const std::int64_t trace_ring = flags->get_int("trace-ring", 0);
   if (!flags->valid() || trace_ring < 0) {
     std::fprintf(stderr, "error: --trace-ring must be an integer >= 0\n");
+    return 1;
+  }
+  if (trace_ring > 0 && trace_out.empty()) {
+    std::fprintf(stderr,
+                 "error: --trace-ring needs --trace-out, the path the ring "
+                 "is dumped to\n");
     return 1;
   }
   const bool profile = flags->get_bool("profile", false) ||

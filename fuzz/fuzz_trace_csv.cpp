@@ -1,8 +1,10 @@
 // Fuzz harness for the trace CSV reader (trace/csv.cpp).
 //
-// Any text from_csv() accepts has already passed Trace::validate(); it
-// must then round-trip: to_csv() of the parsed trace parses again and
+// Any text from_csv() accepts has already passed Trace::validate(): every
+// time in it must be finite (the reader parses "nan" and "inf"), and it
+// must round-trip: to_csv() of the parsed trace parses again and
 // re-serializes byte-identically.
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -12,6 +14,19 @@
 namespace {
 void require(bool ok) {
   if (!ok) std::abort();
+}
+
+bool all_times_finite(const bc::trace::Trace& trace) {
+  if (!std::isfinite(trace.duration)) return false;
+  for (const auto& peer : trace.peers) {
+    for (const auto& s : peer.sessions) {
+      if (!std::isfinite(s.start) || !std::isfinite(s.end)) return false;
+    }
+  }
+  for (const auto& r : trace.requests) {
+    if (!std::isfinite(r.at)) return false;
+  }
+  return true;
 }
 }  // namespace
 
@@ -24,6 +39,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::string error;
   const auto trace = from_csv(text, &error);
   if (!trace.has_value()) return 0;
+  require(all_times_finite(*trace));
 
   const std::string csv = to_csv(*trace);
   std::string error2;

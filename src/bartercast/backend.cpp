@@ -10,6 +10,18 @@
 
 namespace bc::bartercast {
 
+namespace {
+
+// The differential-gossip metric's fixed shape (backend.hpp).
+constexpr int kGossipRounds = 4;
+constexpr double kSelfWeight = 0.5;  // on the own prior, each round
+constexpr Bytes kPriorUnit = kGiB;   // arctan unit of the prior
+static_assert(kGossipRounds >= 0);
+static_assert(kSelfWeight > 0.0 && kSelfWeight <= 1.0);
+static_assert(kPriorUnit > 0);
+
+}  // namespace
+
 std::string_view backend_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kMaxflow:
@@ -30,14 +42,6 @@ std::optional<BackendKind> parse_backend(std::string_view name) {
   return std::nullopt;
 }
 
-DifferentialGossipBackend::DifferentialGossipBackend(
-    DifferentialGossipConfig config)
-    : config_(config) {
-  BC_ASSERT(config_.rounds >= 0);
-  BC_ASSERT(config_.self_weight > 0.0 && config_.self_weight <= 1.0);
-  BC_ASSERT(config_.prior_unit > 0);
-}
-
 std::unordered_map<PeerId, double> DifferentialGossipBackend::scores(
     const graph::FlowGraph& graph) const {
   BC_OBS_SCOPE("reputation.gossip_sweep");
@@ -47,8 +51,7 @@ std::unordered_map<PeerId, double> DifferentialGossipBackend::scores(
   // Contribution prior: arctan-scaled net of bytes served minus bytes
   // consumed, as recorded in this subjective graph. Same scale as Eq. 1,
   // so a clear sharer starts positive and a clear freerider negative.
-  const double unit = static_cast<double>(config_.prior_unit);
-  BC_ASSERT(unit > 0.0);
+  const double unit = static_cast<double>(kPriorUnit);
   std::vector<double> prior(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const double net =
@@ -68,7 +71,7 @@ std::unordered_map<PeerId, double> DifferentialGossipBackend::scores(
   // the FP addition order reproducible bit-for-bit.
   std::vector<double> current = prior;
   std::vector<double> next(n, 0.0);
-  for (int round = 0; round < config_.rounds; ++round) {
+  for (int round = 0; round < kGossipRounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
       double weighted = 0.0;
       double weight_sum = 0.0;
@@ -90,8 +93,8 @@ std::unordered_map<PeerId, double> DifferentialGossipBackend::scores(
         weight_sum += w;
       }
       next[i] = weight_sum > 0.0
-                    ? config_.self_weight * prior[i] +
-                          (1.0 - config_.self_weight) * weighted / weight_sum
+                    ? kSelfWeight * prior[i] +
+                          (1.0 - kSelfWeight) * weighted / weight_sum
                     : prior[i];
     }
     current.swap(next);
@@ -122,13 +125,12 @@ double DifferentialGossipBackend::reputation(const SharedHistory& view,
 }
 
 std::unique_ptr<const ReputationBackend> make_backend(
-    BackendKind kind, const ReputationConfig& reputation,
-    const DifferentialGossipConfig& gossip) {
+    BackendKind kind, const ReputationConfig& reputation) {
   switch (kind) {
     case BackendKind::kMaxflow:
       return std::make_unique<MaxflowBackend>(ReputationEngine(reputation));
     case BackendKind::kDifferentialGossip:
-      return std::make_unique<DifferentialGossipBackend>(gossip);
+      return std::make_unique<DifferentialGossipBackend>();
   }
   return std::make_unique<MaxflowBackend>(ReputationEngine(reputation));
 }

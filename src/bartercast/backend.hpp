@@ -6,10 +6,12 @@
 // maxflow (Eq. 1), every peer in the evaluator's subjective graph starts
 // from a local contribution prior and repeatedly averages in its
 // neighbours' opinions, weighted by the transfer volume shared with each
-// neighbour. After a fixed number of rounds the evaluator reads off the
-// converged score of the subject. The metric is differential in the
+// neighbour. After four rounds the evaluator reads off the converged
+// score of the subject: each round propagates opinions one hop further,
+// which covers the small-world diameter of the §5 communities, and keeps
+// weight 1/2 on a peer's own prior. The metric is differential in the
 // BarterCast sense — the prior is the arctan-scaled net of bytes served
-// minus bytes consumed, the same scale as Eq. 1 — so both backends agree
+// minus bytes consumed, on Eq. 1's 1 GiB scale — so both backends agree
 // on the sign of a clear sharer and a clear freerider, while reacting
 // very differently to slander and sybil edges (maxflow caps a fabricated
 // path at the attacker's real upload; averaging does not). That contrast
@@ -33,7 +35,6 @@
 #include "bartercast/shared_history.hpp"
 #include "graph/flow_graph.hpp"
 #include "util/ids.hpp"
-#include "util/units.hpp"
 
 namespace bc::bartercast {
 
@@ -50,23 +51,8 @@ std::string_view backend_name(BackendKind kind);
 /// "gossip" and treats '_' and '-' as equivalent. nullopt if unknown.
 std::optional<BackendKind> parse_backend(std::string_view name);
 
-struct DifferentialGossipConfig {
-  /// Averaging rounds. Each round propagates opinions one hop further;
-  /// 4 rounds cover the small-world diameter of the §5 communities.
-  int rounds = 4;
-  /// Weight a peer keeps on its own contribution prior each round; the
-  /// remaining 1 - self_weight is the volume-weighted neighbour average.
-  /// Must be in (0, 1]: 1 degenerates to the pure prior.
-  double self_weight = 0.5;
-  /// Byte unit of the prior's arctan argument (same role as
-  /// ReputationConfig::arctan_unit in Eq. 1).
-  Bytes prior_unit = kGiB;
-};
-
 class DifferentialGossipBackend final : public ReputationBackend {
  public:
-  explicit DifferentialGossipBackend(DifferentialGossipConfig config = {});
-
   std::string_view name() const override { return "differential-gossip"; }
   double reputation(const SharedHistory& view,
                     PeerId subject) const override;
@@ -74,16 +60,12 @@ class DifferentialGossipBackend final : public ReputationBackend {
   /// mutation anywhere can move any score: no two-hop dirty tracking.
   bool incremental_two_hop() const override { return false; }
 
-  const DifferentialGossipConfig& config() const { return config_; }
-
   /// The full converged score vector on an explicit graph, exposed for
   /// tests and benches. Deterministic (see header comment).
   std::unordered_map<PeerId, double> scores(
       const graph::FlowGraph& graph) const;
 
  private:
-  DifferentialGossipConfig config_;
-
   /// Per-(view, version) memo of the last score sweep. Mutated only under
   /// the const reputation() call; safe because a backend instance is
   /// owned by exactly one CachedReputation (itself single-threaded).
@@ -94,10 +76,9 @@ class DifferentialGossipBackend final : public ReputationBackend {
 };
 
 /// Constructs the backend selected by `kind`. The maxflow backend takes
-/// its mode and arctan unit from `reputation`; the gossip backend takes
-/// `gossip` verbatim.
+/// its mode and arctan unit from `reputation`; the gossip backend has no
+/// settings.
 std::unique_ptr<const ReputationBackend> make_backend(
-    BackendKind kind, const ReputationConfig& reputation,
-    const DifferentialGossipConfig& gossip);
+    BackendKind kind, const ReputationConfig& reputation);
 
 }  // namespace bc::bartercast

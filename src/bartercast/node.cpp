@@ -7,8 +7,7 @@ Node::Node(PeerId self, NodeConfig config)
       config_(config),
       history_(self),
       view_(self),
-      cached_(view_, make_backend(config.backend, config.reputation,
-                                  config.gossip)) {}
+      cached_(view_, make_backend(config.backend, config.reputation)) {}
 
 void Node::on_bytes_sent(PeerId remote, Bytes amount, Seconds now) {
   history_.record_upload(remote, amount, now);

@@ -27,8 +27,6 @@ struct NodeConfig {
   ReputationConfig reputation;  // maxflow mode + arctan unit
   /// Which aggregation metric the node evaluates reputations with.
   BackendKind backend = BackendKind::kMaxflow;
-  /// Knobs for BackendKind::kDifferentialGossip (ignored otherwise).
-  DifferentialGossipConfig gossip;
 };
 
 class Node {

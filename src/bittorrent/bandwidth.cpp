@@ -6,10 +6,9 @@
 
 namespace bc::bt {
 
-std::vector<Rate> allocate_rates(
-    std::span<const LinkRequest> links,
-    const std::function<AccessProfile(PeerId)>& profile) {
-  BC_ASSERT(profile != nullptr);
+std::vector<Rate> allocate_rates(std::span<const LinkRequest> links,
+                                 const AccessProfile& profile) {
+  BC_ASSERT(profile.uplink >= 0.0 && profile.downlink >= 0.0);
   std::vector<Rate> rates(links.size(), 0.0);
   if (links.empty()) return rates;
 
@@ -19,10 +18,8 @@ std::vector<Rate> allocate_rates(
   std::unordered_map<PeerId, Rate> in_sum;
   for (std::size_t i = 0; i < links.size(); ++i) {
     const auto& l = links[i];
-    const AccessProfile p = profile(l.uploader);
-    BC_ASSERT(p.uplink >= 0.0);
     BC_ASSERT(out_count[l.uploader] > 0);
-    rates[i] = p.uplink / out_count[l.uploader];
+    rates[i] = profile.uplink / out_count[l.uploader];
     in_sum[l.downloader] += rates[i];
   }
 
@@ -30,10 +27,8 @@ std::vector<Rate> allocate_rates(
   std::unordered_map<PeerId, double> scale;
   // bc-analyze: allow(D1) -- writes one key-indexed entry per peer; no cross-iteration state, order-independent
   for (const auto& [peer, sum] : in_sum) {
-    const AccessProfile p = profile(peer);
-    BC_ASSERT(p.downlink >= 0.0);
-    if (sum > p.downlink && sum > 0.0) {
-      scale[peer] = p.downlink / sum;
+    if (sum > profile.downlink && sum > 0.0) {
+      scale[peer] = profile.downlink / sum;
     }
   }
   if (!scale.empty()) {

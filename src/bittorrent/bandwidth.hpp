@@ -12,9 +12,9 @@
 // Uplink slack left by downlink-capped receivers is not redistributed; with
 // the paper's asymmetric ADSL profile the receiver cap almost never binds,
 // so the approximation is benign (and it keeps allocation O(links)).
+// Every peer has the same access link, as in the paper's setup.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -28,15 +28,15 @@ struct LinkRequest {
   PeerId downloader = kInvalidPeer;
 };
 
-/// Per-peer access capacities.
+/// Access-link capacities of a peer; the defaults are the paper's ADSL link.
 struct AccessProfile {
   Rate uplink = 512.0 * 1024.0;          // 512 KiB/s
   Rate downlink = 3.0 * 1024.0 * 1024.0;  // 3 MiB/s
 };
 
-/// Returns one rate per request, in request order.
-std::vector<Rate> allocate_rates(
-    std::span<const LinkRequest> links,
-    const std::function<AccessProfile(PeerId)>& profile);
+/// Returns one rate per request, in request order, with every peer on the
+/// access link `profile`.
+std::vector<Rate> allocate_rates(std::span<const LinkRequest> links,
+                                 const AccessProfile& profile);
 
 }  // namespace bc::bt

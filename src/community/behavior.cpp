@@ -9,21 +9,6 @@
 
 namespace bc::community {
 
-// Defined in behaviors_builtin.cpp (the adversary zoo catalog).
-void register_builtin_behaviors(BehaviorRegistry& registry);
-
-namespace {
-
-/// Registry keys treat '-' and '_' as the same separator, so CLI specs can
-/// spell either.
-std::string normalize_name(std::string_view name) {
-  std::string out(name);
-  std::replace(out.begin(), out.end(), '_', '-');
-  return out;
-}
-
-}  // namespace
-
 Seconds PeerBehavior::seed_duration(const ScenarioConfig& config) const {
   // Sharers seed for the configured period (10 h in the paper §5.1);
   // freeriders "immediately leave the swarm after finishing a download".
@@ -36,57 +21,12 @@ bartercast::BarterCastMessage PeerBehavior::make_message(
 }
 
 void PeerBehavior::shape_sessions(std::vector<trace::Session>& sessions,
-                                  const ScenarioConfig& config,
                                   Rng& churn_rng) const {
   // Identity by default, and deliberately no churn_rng draws: scenarios
   // without churny behaviors must consume the exact RNG stream of the
-  // pre-registry code.
+  // original enum code.
   static_cast<void>(sessions);
-  static_cast<void>(config);
   static_cast<void>(churn_rng);
-}
-
-BehaviorRegistry& BehaviorRegistry::instance() {
-  static BehaviorRegistry registry;
-  return registry;
-}
-
-BehaviorRegistry::BehaviorRegistry() { register_builtin_behaviors(*this); }
-
-void BehaviorRegistry::register_behavior(
-    std::unique_ptr<const PeerBehavior> behavior,
-    std::initializer_list<std::string_view> aliases) {
-  BC_ASSERT(behavior != nullptr);
-  const PeerBehavior* raw = behavior.get();
-  const auto insert_key = [&](std::string_view key) {
-    const bool inserted =
-        by_name_.emplace(normalize_name(key), raw).second;
-    BC_ASSERT_MSG(inserted, "behavior name registered twice");
-  };
-  insert_key(raw->name());
-  for (std::string_view alias : aliases) insert_key(alias);
-  owned_.push_back(std::move(behavior));
-}
-
-const PeerBehavior* BehaviorRegistry::find(std::string_view name) const {
-  const auto it = by_name_.find(normalize_name(name));
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-const PeerBehavior& BehaviorRegistry::at(std::string_view name) const {
-  const PeerBehavior* b = find(name);
-  BC_ASSERT_MSG(b != nullptr, "unknown behavior name");
-  return *b;
-}
-
-std::vector<std::string> BehaviorRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(owned_.size());
-  // by_name_ is sorted but contains aliases; collect canonical names only.
-  for (const auto& [key, behavior] : by_name_) {
-    if (key == normalize_name(behavior->name())) out.emplace_back(behavior->name());
-  }
-  return out;
 }
 
 std::optional<PopulationSpec> PopulationSpec::parse(std::string_view spec,
@@ -130,12 +70,11 @@ std::optional<PopulationSpec> PopulationSpec::parse(std::string_view spec,
 }
 
 std::string PopulationSpec::validate() const {
-  const auto& registry = BehaviorRegistry::instance();
   double sum = 0.0;
   for (const Entry& e : entries) {
-    if (registry.find(e.name) == nullptr) {
+    if (find_behavior(e.name) == nullptr) {
       std::string known;
-      for (std::string_view n : registry.names()) {
+      for (std::string_view n : behavior_names()) {
         if (!known.empty()) known += ", ";
         known += n;
       }
@@ -157,12 +96,11 @@ std::string PopulationSpec::validate() const {
 std::vector<PopulationSlice> PopulationSpec::slices(
     std::size_t num_peers) const {
   BC_ASSERT_MSG(validate().empty(), "invalid population spec");
-  const auto& registry = BehaviorRegistry::instance();
   std::vector<PopulationSlice> out;
   out.reserve(entries.size());
   for (const Entry& e : entries) {
     PopulationSlice slice;
-    slice.behavior = registry.find(e.name);
+    slice.behavior = find_behavior(e.name);
     slice.count = static_cast<std::size_t>(
         std::lround(e.fraction * static_cast<double>(num_peers)));
     out.push_back(slice);
@@ -193,7 +131,7 @@ std::vector<const PeerBehavior*> assign_population(
 
   std::vector<const PeerBehavior*> out(num_peers, &fill);
   // One shuffled index vector; slice k takes the next count slots. This is
-  // the exact RNG consumption of the pre-registry assignment (one
+  // the exact RNG consumption of the original enum assignment (one
   // shuffle(n)), so legacy scenarios replay bit-identically.
   std::vector<std::size_t> idx(num_peers);
   for (std::size_t i = 0; i < num_peers; ++i) idx[i] = i;
@@ -232,13 +170,13 @@ std::vector<const PeerBehavior*> assign_behaviors(std::size_t num_peers,
   // expressing the final picture directly keeps the single shuffle and the
   // legacy counts (lazy = freeriders - ignorers - liars, NOT
   // lround(lazy_fraction * n), which can differ by a rounding slot).
-  const auto& registry = BehaviorRegistry::instance();
   const std::vector<PopulationSlice> slices = {
-      {&registry.at("ignoring-freerider"), num_ignorers},
-      {&registry.at("lying-freerider"), num_liars},
-      {&registry.at("lazy-freerider"), num_freeriders - num_ignorers - num_liars},
+      {&behavior_named("ignoring-freerider"), num_ignorers},
+      {&behavior_named("lying-freerider"), num_liars},
+      {&behavior_named("lazy-freerider"),
+       num_freeriders - num_ignorers - num_liars},
   };
-  return assign_population(num_peers, slices, registry.at("sharer"), rng);
+  return assign_population(num_peers, slices, behavior_named("sharer"), rng);
 }
 
 }  // namespace bc::community

@@ -1,4 +1,4 @@
-// Composable peer-behavior registry (the adversary zoo).
+// Composable peer behaviors (the adversary zoo).
 //
 // The paper evaluates BarterCast against exactly three manipulations
 // (§5.4: lazy, ignoring, and lying freeriders), and the original scenario
@@ -18,17 +18,15 @@
 //   * churn profile    — a rewrite of the peer's trace sessions
 //                        (mobile-profile duty cycling)
 //
-// Behaviors are stateless singletons registered by name in the
-// BehaviorRegistry; populations are described as composable specs
-// ("sharer:0.5,lazy:0.3,sybil-region:0.2") parsed by PopulationSpec.
-// The legacy §5.1/§5.4 fraction triple keeps working through
-// assign_behaviors(), which reproduces the original RNG draws bit for bit
-// (pinned by the golden-assignment regression test).
+// Behaviors are stateless, immutable objects in a fixed catalog of eight
+// built-ins, looked up by name or alias (find_behavior); populations are
+// described as composable specs ("sharer:0.5,lazy:0.3,sybil-region:0.2")
+// parsed by PopulationSpec. The legacy §5.1/§5.4 fraction triple keeps
+// working through assign_behaviors(), which reproduces the original RNG
+// draws bit for bit (pinned by the golden-assignment regression test).
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,8 +49,8 @@ struct ScenarioConfig;
 /// consult when fabricating its outgoing BarterCast message. All references
 /// outlive the call only; hooks must not retain them.
 struct MessageContext {
-  const bartercast::Node& node;   ///< sender's node (private history, view)
-  const ScenarioConfig& config;   ///< scenario knobs (claimed volumes, Nh/Nr)
+  /// Sender's node: private history, view and Nh/Nr selection.
+  const bartercast::Node& node;
   Seconds now = 0.0;              ///< simulation time of the send
   PeerId self = kInvalidPeer;     ///< the sending peer
   /// Peers assigned the same behavior, ascending PeerId — the adversary's
@@ -62,13 +60,14 @@ struct MessageContext {
 };
 
 /// One peer archetype. Implementations are immutable and shared: a single
-/// instance serves every peer assigned the behavior, with all per-scenario
-/// parameters flowing in through the hook arguments.
+/// instance serves every peer assigned the behavior. Its fixed parameters
+/// are constants beside it; the scenario's seeding period and the sender's
+/// node flow in through the hook arguments.
 class PeerBehavior {
  public:
   virtual ~PeerBehavior() = default;
 
-  /// Canonical registry key; also the class name reported in PeerOutcome.
+  /// Canonical catalog name; also the class name reported in PeerOutcome.
   virtual std::string_view name() const = 0;
 
   /// Metrics class: freeriders feed the freerider speed/reputation series
@@ -97,43 +96,21 @@ class PeerBehavior {
   /// online bursts). Must keep the sessions sorted and non-overlapping.
   /// The default is the identity and draws nothing from `churn_rng`, so
   /// scenarios without churny behaviors are bit-identical to the
-  /// pre-registry code.
+  /// original enum code.
   virtual void shape_sessions(std::vector<trace::Session>& sessions,
-                              const ScenarioConfig& config,
                               Rng& churn_rng) const;
 };
 
-/// Name-keyed behavior catalog. Built-in archetypes (see
-/// behaviors_builtin.cpp) register themselves on first use; experiments can
-/// register additional behaviors at startup. Lookup accepts canonical names,
-/// registered aliases, and treats '_' and '-' as equivalent, so CLI specs
-/// may spell "sybil_region" for "sybil-region".
-class BehaviorRegistry {
- public:
-  static BehaviorRegistry& instance();
+/// Looks a built-in behavior (behaviors_builtin.cpp) up by canonical name
+/// or alias, treating '_' and '-' as the same separator, so CLI specs may
+/// spell "sybil_region" for "sybil-region". nullptr if unknown.
+const PeerBehavior* find_behavior(std::string_view name);
 
-  /// Registers `behavior` under its canonical name plus `aliases`. Names
-  /// must be unique; re-registering an existing name aborts.
-  void register_behavior(std::unique_ptr<const PeerBehavior> behavior,
-                         std::initializer_list<std::string_view> aliases = {});
+/// Asserting lookup for names that must exist (the built-ins).
+const PeerBehavior& behavior_named(std::string_view name);
 
-  /// Looks a behavior up by name or alias; nullptr if unknown.
-  const PeerBehavior* find(std::string_view name) const;
-
-  /// Asserting lookup for names that must exist (the built-ins).
-  const PeerBehavior& at(std::string_view name) const;
-
-  /// All canonical behavior names, sorted ascending (deterministic).
-  std::vector<std::string> names() const;
-
- private:
-  BehaviorRegistry();
-
-  std::vector<std::unique_ptr<const PeerBehavior>> owned_;
-  /// Normalized name/alias -> behavior. std::map keeps diagnostics and
-  /// names() deterministic.
-  std::map<std::string, const PeerBehavior*> by_name_;
-};
+/// All canonical behavior names, sorted ascending (deterministic).
+std::vector<std::string> behavior_names();
 
 /// One contiguous slice of a population assignment: `count` peers get
 /// `behavior`.
@@ -155,12 +132,12 @@ struct PopulationSpec {
 
   /// Parses a comma-separated "name:fraction" list. Returns std::nullopt
   /// and fills *error (if non-null) on malformed input. Behavior names are
-  /// validated against the registry by validate(), not here.
+  /// validated against the catalog by validate(), not here.
   static std::optional<PopulationSpec> parse(std::string_view spec,
                                              std::string* error = nullptr);
 
   /// Returns an empty string when the spec is usable: every name resolves
-  /// in the registry, every fraction is within [0, 1], and the fractions
+  /// in the catalog, every fraction is within [0, 1], and the fractions
   /// sum to at most 1 (within rounding tolerance).
   std::string validate() const;
 
@@ -172,7 +149,7 @@ struct PopulationSpec {
 /// Assigns `slices` over a population of `num_peers` via one shuffled index
 /// vector: slice k occupies the next slices[k].count shuffled slots, and
 /// every unclaimed peer gets `fill`. Exactly one rng.shuffle(n) draw —
-/// the same RNG consumption as the pre-registry assignment.
+/// the same RNG consumption as the original enum assignment.
 std::vector<const PeerBehavior*> assign_population(
     std::size_t num_peers, const std::vector<PopulationSlice>& slices,
     const PeerBehavior& fill, Rng& rng);
@@ -183,7 +160,7 @@ std::vector<const PeerBehavior*> assign_population(
 /// from a total of 50% freeriders") ignore or lie. The remaining peers are
 /// sharers. ignorer_fraction + liar_fraction must not exceed
 /// freerider_fraction. Assignment is random but deterministic in rng, and
-/// bit-identical to the pre-registry enum implementation (golden test).
+/// bit-identical to the original enum implementation (golden test).
 std::vector<const PeerBehavior*> assign_behaviors(std::size_t num_peers,
                                                   double freerider_fraction,
                                                   double ignorer_fraction,

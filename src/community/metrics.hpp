@@ -14,7 +14,7 @@ namespace bc::community {
 /// Ground-truth and reputation outcomes for one trace peer.
 struct PeerOutcome {
   PeerId peer = kInvalidPeer;
-  /// Canonical name of the peer's assigned behavior (registry key).
+  /// Canonical name of the peer's assigned behavior (catalog name).
   std::string behavior = "sharer";
   /// Metrics class of that behavior (PeerBehavior::freerider()).
   bool freerider = false;

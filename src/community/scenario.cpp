@@ -30,22 +30,6 @@ std::string ScenarioConfig::validate() const {
       return "population spec: " + invalid;
     }
   }
-  if (!in_unit(strategic_seed_fraction)) {
-    return "strategic_seed_fraction must be within [0, 1], got " +
-           std::to_string(strategic_seed_fraction);
-  }
-  if (!(mobile_churn_period > 0.0)) {
-    return "mobile_churn_period must be positive, got " +
-           std::to_string(mobile_churn_period);
-  }
-  if (!(mobile_duty_cycle > 0.0) || mobile_duty_cycle > 1.0) {
-    return "mobile_duty_cycle must be within (0, 1], got " +
-           std::to_string(mobile_duty_cycle);
-  }
-  if (liar_claimed_upload < 0 || sybil_claimed_upload < 0 ||
-      slander_claimed_upload < 0) {
-    return "claimed upload volumes must be non-negative";
-  }
   if (!(seed_duration >= 0.0)) {  // NaN too: `now >= NaN` never expires
     return "seed_duration must be non-negative, got " +
            std::to_string(seed_duration);

@@ -1,8 +1,14 @@
-// Scenario configuration: everything a trace-based experiment run needs.
+// Scenario configuration: what an experiment run varies.
 //
 // The defaults reproduce the paper's simulation setup (§5.1): N = 100 peers,
 // 10 swarms, one week, 50% lazy freeriders, sharers seed for 10 hours,
-// ADSL access links (3 MBps down / 512 KBps up), Nh = Nr = 10.
+// Nh = Nr = 10. What the paper fixes for every run stays a named constant
+// beside its one user: the ADSL access link (3 MBps down / 512 KBps up),
+// the 15 s round, 3 regular slots and the 30 s optimistic rotation, the
+// two initial holders per swarm, the 60 s gossip period and the choker's
+// 5 min reputation TTL in simulator.cpp; the adversaries' claimed volumes,
+// the slander victim count, the strategic seeding fraction and the mobile
+// duty cycle in behaviors_builtin.cpp.
 #pragma once
 
 #include <cstddef>
@@ -11,8 +17,6 @@
 
 #include "bartercast/node.hpp"
 #include "bartercast/policy.hpp"
-#include "bittorrent/bandwidth.hpp"
-#include "trace/generator.hpp"
 #include "util/units.hpp"
 
 namespace bc::community {
@@ -24,49 +28,17 @@ struct ScenarioConfig {
   double freerider_fraction = 0.5;
   double ignorer_fraction = 0.0;  // §5.4 manipulation (1), subset of above
   double liar_fraction = 0.0;     // §5.4 manipulation (2), subset of above
-  Bytes liar_claimed_upload = gib(10.0);
   /// Composable population spec ("sharer:0.5,lazy:0.3,sybil-region:0.2",
   /// see PopulationSpec in behavior.hpp). When non-empty it supersedes the
   /// legacy fraction triple above; unassigned remainder peers are sharers.
   std::string population;
 
-  // --- adversary knobs (behaviors from the registry, DESIGN.md §12) ------
-  /// Upload volume each sybil-region member credits its fellow members.
-  Bytes sybil_claimed_upload = gib(10.0);
-  /// Upload volume a slanderer claims toward each victim.
-  Bytes slander_claimed_upload = gib(10.0);
-  /// How many of its real benefactors a slanderer defames per message.
-  std::size_t slander_victims = 5;
-  /// Fraction of the sharer seeding period a strategic uploader invests.
-  double strategic_seed_fraction = 0.1;
-  /// Duty-cycling of mobile-churner sessions: `mobile_duty_cycle` of every
-  /// `mobile_churn_period` online, the rest offline.
-  Seconds mobile_churn_period = 30.0 * kMinute;
-  double mobile_duty_cycle = 0.5;
-
   // --- sharer behaviour ---------------------------------------------------
   Seconds seed_duration = 10.0 * kHour;
-
-  // --- BitTorrent ---------------------------------------------------------
-  bt::AccessProfile access;     // 512 KiB/s up, 3 MiB/s down (paper)
-  int regular_slots = 3;        // plus 1 optimistic slot
-  Seconds round_interval = 15.0;         // transfer/choke evaluation step
-  Seconds optimistic_interval = 30.0;    // paper: 30 s round-robin shift
-  /// Initial holders per swarm: trace peers (always sharers) that hold the
-  /// file from t=0 and keep seeding it whenever they are online — the
-  /// filelist-style uploader of the content. This keeps all supply inside
-  /// the community, as in the paper's trace: there are no synthetic
-  /// always-on peers, and every byte is served by a policy-applying peer
-  /// with ordinary bidirectional barter flows.
-  std::size_t initial_holders_per_swarm = 2;
 
   // --- BarterCast ---------------------------------------------------------
   bartercast::NodeConfig node;  // Nh = Nr = 10, two-hop maxflow
   bartercast::ReputationPolicy policy = bartercast::ReputationPolicy::none();
-  Seconds gossip_interval = 60.0;  // per-peer BarterCast exchange period
-  /// Community-level reputation cache TTL used by the choker (reputations
-  /// change slowly; caching bounds maxflow cost per round).
-  Seconds reputation_ttl = 5.0 * kMinute;
 
   // --- probes ---------------------------------------------------------
   /// System-reputation sampling period (Figure 1a resolution).

@@ -18,6 +18,18 @@ namespace bc::community {
 
 namespace {
 
+// The paper's fixed BitTorrent and BarterCast setup (§4.1, §5.1).
+constexpr Seconds kRoundInterval = 15.0;       // transfer/choke step
+constexpr Seconds kOptimisticInterval = 30.0;  // round-robin shift
+constexpr int kRegularSlots = 3;               // plus 1 optimistic slot
+constexpr bt::AccessProfile kAccess{};  // ADSL: 512 KiB/s up, 3 MiB/s down
+constexpr Seconds kGossipInterval = 60.0;  // per-peer exchange period
+/// TTL of the choker's reputation cache (reputations change slowly;
+/// caching bounds maxflow cost per round).
+constexpr Seconds kReputationTtl = 5.0 * kMinute;
+static_assert(kRoundInterval > 0.0);
+static_assert(kOptimisticInterval >= kRoundInterval);
+
 std::uint64_t pair_key(PeerId a, PeerId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
@@ -40,14 +52,11 @@ CommunitySimulator::CommunitySimulator(trace::Trace trace,
       rng_(config.seed),
       overlay_(engine_, Rng(config.seed ^ 0x6f6e6c696e65ULL),
                connectability(trace_)),
-      pss_(gossip::PeerSamplingService::Config{
-          config.seed ^ 0x70737321ULL, /*view_size=*/20, /*exchange_size=*/8}),
+      pss_(config.seed ^ 0x70737321ULL, trace_.peers.size()),
       metrics_(trace_.duration, config.series_bin) {
   BC_ASSERT_MSG(trace_.validate().empty(), "invalid trace");
   const std::string config_error = config_.validate();
   BC_ASSERT_MSG(config_error.empty(), config_error.c_str());
-  BC_ASSERT(config_.round_interval > 0.0);
-  BC_ASSERT(config_.optimistic_interval >= config_.round_interval);
   if (!config_.metrics_stream_path.empty()) {
     const bool ok = metrics_stream_.open(config_.metrics_stream_path,
                                          obs::Registry::instance());
@@ -98,7 +107,7 @@ void CommunitySimulator::setup_peers() {
   Rng behavior_rng = rng_.fork();
   std::vector<const PeerBehavior*> behaviors;
   if (config_.population.empty()) {
-    // Legacy fraction triple: bit-identical to the pre-registry enum
+    // Legacy fraction triple: bit-identical to the original enum
     // assignment (same fork, same single shuffle; golden test pins it).
     behaviors = assign_behaviors(total, config_.freerider_fraction,
                                  config_.ignorer_fraction,
@@ -107,8 +116,7 @@ void CommunitySimulator::setup_peers() {
     const auto spec = PopulationSpec::parse(config_.population);
     BC_ASSERT(spec.has_value());  // ctor validated config_ already
     behaviors = assign_population(total, spec->slices(total),
-                                  BehaviorRegistry::instance().at("sharer"),
-                                  behavior_rng);
+                                  behavior_named("sharer"), behavior_rng);
   }
 
   peers_.resize(total);
@@ -123,9 +131,6 @@ void CommunitySimulator::setup_peers() {
   // (the tracker hands out such lists in any real community).
   std::vector<PeerId> everyone(total);
   for (PeerId id = 0; id < total; ++id) everyone[id] = id;
-  for (PeerId id = 0; id < total; ++id) {
-    pss_.register_peer(id);
-  }
   for (PeerId id = 0; id < total; ++id) {
     pss_.bootstrap(id, rng_.sample(everyone, 12));
   }
@@ -153,11 +158,9 @@ void CommunitySimulator::setup_swarms() {
   }
   Rng holder_rng = rng_.fork();
   for (auto& ctx : swarms_) {
-    const auto& pool = sharers.size() >= config_.initial_holders_per_swarm
-                           ? sharers
-                           : everyone;
-    for (PeerId holder :
-         holder_rng.sample(pool, config_.initial_holders_per_swarm)) {
+    const auto& pool =
+        sharers.size() >= kInitialHoldersPerSwarm ? sharers : everyone;
+    for (PeerId holder : holder_rng.sample(pool, kInitialHoldersPerSwarm)) {
       ctx->swarm.add_seeder(holder);
       ctx->permanent_seeds.insert(holder);
     }
@@ -168,11 +171,10 @@ void CommunitySimulator::schedule_trace_events() {
   // Churn shaping rewrites sessions in place (attempt_join defers through
   // trace_.peers[id].next_online, so the shaped schedule must be the one
   // the trace holds). Dedicated stream, not rng_: default profiles draw
-  // nothing, keeping legacy scenarios on the exact pre-registry stream.
+  // nothing, keeping legacy scenarios on the exact original enum stream.
   Rng churn_rng(config_.seed ^ 0x636875726eULL);
   for (auto& profile : trace_.peers) {
-    peers_[profile.id].behavior->shape_sessions(profile.sessions, config_,
-                                                churn_rng);
+    peers_[profile.id].behavior->shape_sessions(profile.sessions, churn_rng);
   }
   for (const auto& profile : trace_.peers) {
     const PeerId id = profile.id;
@@ -191,7 +193,7 @@ void CommunitySimulator::schedule_trace_events() {
 }
 
 void CommunitySimulator::schedule_periodics() {
-  engine_.schedule_periodic(config_.round_interval, config_.round_interval,
+  engine_.schedule_periodic(kRoundInterval, kRoundInterval,
                             [this] { round(); });
   engine_.schedule_periodic(config_.reputation_probe_interval,
                             config_.reputation_probe_interval,
@@ -218,8 +220,8 @@ void CommunitySimulator::schedule_periodics() {
   }
   for (PeerId id = 0; id < peers_.size(); ++id) {
     // Random phase per peer spreads the gossip load across rounds.
-    const Seconds phase = rng_.uniform(0.0, config_.gossip_interval);
-    engine_.schedule_periodic(phase, config_.gossip_interval,
+    const Seconds phase = rng_.uniform(0.0, kGossipInterval);
+    engine_.schedule_periodic(phase, kGossipInterval,
                               [this, id] { gossip_tick(id); });
   }
 }
@@ -274,7 +276,7 @@ double CommunitySimulator::choker_reputation(PeerId evaluator,
                                              PeerId subject) {
   const Seconds now = engine_.now();
   auto& entry = rep_cache_[pair_key(evaluator, subject)];
-  if (now - entry.at <= config_.reputation_ttl) return entry.value;
+  if (now - entry.at <= kReputationTtl) return entry.value;
   entry.at = now;
   entry.value = peer(evaluator).node->reputation(subject);
   return entry.value;
@@ -285,8 +287,7 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
   BC_OBS_SCOPE("community.choke_swarm");
   auto& ctx = *swarms_[swarm_id];
   const Seconds now = engine_.now();
-  const Seconds dt = config_.round_interval;
-  BC_ASSERT(dt > 0.0);
+  const Seconds dt = kRoundInterval;
   const bool use_reputation =
       config_.policy.kind() != bartercast::PolicyKind::kNone;
 
@@ -312,7 +313,7 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
     }
     ChokeState& cs = ctx.chokers[u];
     cs.regular =
-        bt::pick_regular_unchokes(candidates, config_.regular_slots, policy);
+        bt::pick_regular_unchokes(candidates, kRegularSlots, policy);
     // Keep the optimistic choice for a full rotation period, unless it
     // became useless (left/completed/banned/regular) in the meantime.
     bool still_valid = false;
@@ -328,7 +329,7 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
     }
     if (now >= cs.next_rotation || !still_valid) {
       cs.optimistic = cs.rotator.pick(candidates, cs.regular, policy, now);
-      cs.next_rotation = now + config_.optimistic_interval;
+      cs.next_rotation = now + kOptimisticInterval;
     }
   }
   // One policy-decision event per swarm rescan keeps trace volume linear in
@@ -349,8 +350,7 @@ void CommunitySimulator::round() {
       obs::Registry::instance().counter("community.bytes_transferred");
   rounds.inc();
   const Seconds now = engine_.now();
-  const Seconds dt = config_.round_interval;
-  BC_ASSERT(dt > 0.0);
+  const Seconds dt = kRoundInterval;
   round_received_.clear();
 
   // Phase 1: choke decisions per swarm on the current member/online sets.
@@ -372,11 +372,11 @@ void CommunitySimulator::round() {
   };
   std::vector<TaggedLink> links;
   std::vector<bt::LinkRequest> requests;
-  // Upper bound: every online peer can hold `regular_slots` regular unchokes
+  // Upper bound: every online peer can hold `kRegularSlots` regular unchokes
   // plus one optimistic; pre-sizing keeps the collection loop off the
   // allocator.
   const std::size_t max_links =
-      total_online * (static_cast<std::size_t>(config_.regular_slots) + 1);
+      total_online * (static_cast<std::size_t>(kRegularSlots) + 1);
   links.reserve(max_links);
   requests.reserve(max_links);
   for (SwarmId s = 0; s < swarms_.size(); ++s) {
@@ -414,8 +414,7 @@ void CommunitySimulator::round() {
 
   // Phase 3: bandwidth allocation across all swarms at once (shared
   // uplinks), then apply the transfers.
-  const std::vector<Rate> rates = bt::allocate_rates(
-      requests, [this](PeerId) { return config_.access; });
+  const std::vector<Rate> rates = bt::allocate_rates(requests, kAccess);
   for (std::size_t i = 0; i < links.size(); ++i) {
     const auto budget = static_cast<Bytes>(std::llround(rates[i] * dt));
     if (budget <= 0) continue;
@@ -519,8 +518,7 @@ void CommunitySimulator::handle_completion(SwarmId swarm_id, PeerId id) {
 bartercast::BarterCastMessage CommunitySimulator::make_outgoing_message(
     PeerId id) {
   PeerState& p = peer(id);
-  MessageContext ctx{*p.node, config_, engine_.now(), id,
-                     &cohorts_.at(p.behavior)};
+  MessageContext ctx{*p.node, engine_.now(), id, &cohorts_.at(p.behavior)};
   return p.behavior->make_message(ctx);
 }
 

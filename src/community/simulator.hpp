@@ -39,6 +39,14 @@ namespace bc::community {
 
 class CommunitySimulator {
  public:
+  /// Initial holders per swarm: trace peers (always sharers) that hold the
+  /// file from t=0 and keep seeding it whenever they are online — the
+  /// filelist-style uploader of the content. This keeps all supply inside
+  /// the community, as in the paper's trace: there are no synthetic
+  /// always-on peers, and every byte is served by a policy-applying peer
+  /// with ordinary bidirectional barter flows.
+  static constexpr std::size_t kInitialHoldersPerSwarm = 2;
+
   CommunitySimulator(trace::Trace trace, ScenarioConfig config);
 
   /// Runs the full trace duration and finalizes the metrics.

@@ -8,44 +8,38 @@
 
 namespace bc::gossip {
 
-PeerSamplingService::PeerSamplingService(Config config)
-    : config_(config), rng_(config.seed) {
-  BC_ASSERT(config_.view_size > 0);
-  BC_ASSERT(config_.exchange_size > 0);
+PeerSamplingService::PeerSamplingService(std::uint64_t seed,
+                                         std::size_t num_peers)
+    : rng_(seed), views_(num_peers) {}
+
+const std::vector<PeerId>& PeerSamplingService::view(PeerId peer) const {
+  BC_ASSERT_MSG(peer < views_.size(), "peer outside the population");
+  return views_[peer];
 }
 
-void PeerSamplingService::register_peer(PeerId peer) {
-  const auto [_, inserted] = views_.try_emplace(peer);
-  BC_ASSERT_MSG(inserted, "peer registered twice");
-}
-
-bool PeerSamplingService::is_registered(PeerId peer) const {
-  return views_.contains(peer);
+std::vector<PeerId>& PeerSamplingService::view_of(PeerId peer) {
+  BC_ASSERT_MSG(peer < views_.size(), "peer outside the population");
+  return views_[peer];
 }
 
 void PeerSamplingService::bootstrap(PeerId peer,
                                     std::span<const PeerId> seeds) {
-  BC_ASSERT(is_registered(peer));
   merge_into(peer, seeds);
 }
 
 void PeerSamplingService::merge_into(PeerId owner,
                                      std::span<const PeerId> entries) {
-  auto& view = views_[owner];
+  auto& view = view_of(owner);
   for (PeerId p : entries) {
+    BC_ASSERT_MSG(p < views_.size(), "peer outside the population");
     if (p == owner) continue;
     if (std::find(view.begin(), view.end(), p) != view.end()) continue;
-    if (view.size() < config_.view_size) {
+    if (view.size() < kViewSize) {
       view.push_back(p);
     } else {
       view[rng_.index(view.size())] = p;
     }
   }
-}
-
-std::vector<PeerId> PeerSamplingService::random_slice(
-    const std::vector<PeerId>& from, std::size_t n) {
-  return rng_.sample(from, n);
 }
 
 PeerId PeerSamplingService::exchange(PeerId peer, const CanTalk& can_talk) {
@@ -54,66 +48,32 @@ PeerId PeerSamplingService::exchange(PeerId peer, const CanTalk& can_talk) {
       obs::Registry::instance().counter("gossip.exchanges");
   static obs::Counter& no_partner =
       obs::Registry::instance().counter("gossip.exchanges_no_partner");
-  BC_ASSERT(is_registered(peer));
-  auto& view = views_[peer];
+  const auto& view = view_of(peer);
   if (view.empty()) {
     no_partner.inc();
     return kInvalidPeer;
   }
 
-  // Try view members in random order until a reachable, registered one is
-  // found. Unregistered/defunct entries are garbage-collected on the way.
+  // Try view members in random order until a reachable one is found.
   std::vector<PeerId> order = view;
   rng_.shuffle(order);
-  PeerId partner = kInvalidPeer;
-  for (PeerId candidate : order) {
-    if (!is_registered(candidate)) {
-      view.erase(std::remove(view.begin(), view.end(), candidate),
-                 view.end());
-      continue;
-    }
-    if (can_talk(peer, candidate)) {
-      partner = candidate;
-      break;
-    }
-  }
-  if (partner == kInvalidPeer) {
+  const auto it = std::find_if(order.begin(), order.end(),
+                               [&](PeerId p) { return can_talk(peer, p); });
+  if (it == order.end()) {
     no_partner.inc();
     return kInvalidPeer;
   }
+  const PeerId partner = *it;
   exchanges.inc();
 
   // Swap slices; both sides also learn about the other endpoint itself.
-  std::vector<PeerId> mine = random_slice(view, config_.exchange_size);
+  std::vector<PeerId> mine = rng_.sample(view, kExchangeSize);
   mine.push_back(peer);
-  std::vector<PeerId> theirs =
-      random_slice(views_[partner], config_.exchange_size);
+  std::vector<PeerId> theirs = rng_.sample(views_[partner], kExchangeSize);
   theirs.push_back(partner);
   merge_into(peer, theirs);
   merge_into(partner, mine);
   return partner;
-}
-
-std::vector<PeerId> PeerSamplingService::sample(PeerId peer, std::size_t n,
-                                                const CanTalk& can_talk) {
-  BC_ASSERT(is_registered(peer));
-  const auto& view = views_.at(peer);
-  std::vector<PeerId> reachable;
-  reachable.reserve(view.size());
-  for (PeerId p : view) {
-    if (is_registered(p) && can_talk(peer, p)) reachable.push_back(p);
-  }
-  return rng_.sample(reachable, n);
-}
-
-std::vector<PeerId> PeerSamplingService::view(PeerId peer) const {
-  auto it = views_.find(peer);
-  return it == views_.end() ? std::vector<PeerId>{} : it->second;
-}
-
-std::size_t PeerSamplingService::view_size(PeerId peer) const {
-  auto it = views_.find(peer);
-  return it == views_.end() ? 0 : it->second.size();
 }
 
 }  // namespace bc::gossip

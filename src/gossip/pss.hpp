@@ -3,18 +3,19 @@
 // BarterCast assumes "that peers can discover other peers by using a Peer
 // Sampling Service (PSS). The actual implementation of such a service is
 // transparent to BarterCast" — Tribler uses the BuddyCast epidemic protocol.
-// This is a BuddyCast-flavoured view-exchange PSS: every peer keeps a
-// bounded view of peer ids; an exchange merges a random slice of the
+// This is a BuddyCast-flavoured view-exchange PSS over a fixed population
+// of peers 0..n-1: every peer keeps a view of at most kViewSize peer ids;
+// an exchange merges a random slice of kExchangeSize entries of the
 // partner's view into one's own (and vice versa), evicting random entries
 // when the view overflows. Liveness/reachability is delegated to a caller-
 // supplied predicate so the service composes with the overlay's
 // online/connectability model without depending on it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -24,48 +25,34 @@ namespace bc::gossip {
 
 class PeerSamplingService {
  public:
-  struct Config {
-    std::uint64_t seed = 1;
-    std::size_t view_size = 20;
-    std::size_t exchange_size = 8;  // entries shipped per direction
-  };
+  static constexpr std::size_t kViewSize = 20;
+  static constexpr std::size_t kExchangeSize = 8;  // entries per direction
 
   /// Returns true when `a` can currently exchange messages with `b`.
   using CanTalk = std::function<bool(PeerId a, PeerId b)>;
 
-  explicit PeerSamplingService(Config config);
-
-  void register_peer(PeerId peer);
-  bool is_registered(PeerId peer) const;
+  /// Peers 0..num_peers-1, every view empty.
+  PeerSamplingService(std::uint64_t seed, std::size_t num_peers);
 
   /// Seeds a peer's view (e.g. from a tracker or bootstrap list).
   void bootstrap(PeerId peer, std::span<const PeerId> seeds);
 
   /// One epidemic round initiated by `peer`: pick a reachable partner from
-  /// its view, swap exchange_size random entries both ways. Returns the
+  /// its view, swap kExchangeSize random entries both ways. Returns the
   /// partner, or kInvalidPeer when no view member was reachable.
   PeerId exchange(PeerId peer, const CanTalk& can_talk);
 
-  /// Up to n distinct peers sampled uniformly from `peer`'s view, filtered
-  /// by `can_talk(peer, candidate)`.
-  std::vector<PeerId> sample(PeerId peer, std::size_t n,
-                             const CanTalk& can_talk);
-
-  std::vector<PeerId> view(PeerId peer) const;
-  std::size_t view_size(PeerId peer) const;
-
-  const Config& config() const { return config_; }
+  const std::vector<PeerId>& view(PeerId peer) const;
+  std::size_t view_size(PeerId peer) const { return view(peer).size(); }
 
  private:
+  std::vector<PeerId>& view_of(PeerId peer);
   /// Inserts entries, deduplicating and evicting random old entries to
-  /// respect view_size. Never inserts the owner itself.
+  /// respect kViewSize. Never inserts the owner itself.
   void merge_into(PeerId owner, std::span<const PeerId> entries);
-  std::vector<PeerId> random_slice(const std::vector<PeerId>& from,
-                                   std::size_t n);
 
-  Config config_;
   Rng rng_;
-  std::unordered_map<PeerId, std::vector<PeerId>> views_;
+  std::vector<std::vector<PeerId>> views_;  // indexed by PeerId
 };
 
 }  // namespace bc::gossip

@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -30,7 +31,11 @@ Seconds PeerProfile::total_uptime() const {
 
 std::string Trace::validate() const {
   std::ostringstream err;
-  if (duration <= 0.0) return "duration must be positive";
+  // Every time must be finite: NaN passes all the comparisons below, and
+  // an infinite duration would let infinite times through.
+  if (!std::isfinite(duration) || duration <= 0.0) {
+    return "duration must be positive and finite";
+  }
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto& f = files[i];
     if (f.id != static_cast<SwarmId>(i)) {
@@ -50,6 +55,10 @@ std::string Trace::validate() const {
     }
     Seconds prev_end = -1.0;
     for (const auto& s : p.sessions) {
+      if (!std::isfinite(s.start) || !std::isfinite(s.end)) {
+        err << "peer " << i << ": non-finite session bound";
+        return err.str();
+      }
       if (s.start >= s.end) {
         err << "peer " << i << ": empty/inverted session";
         return err.str();
@@ -70,6 +79,7 @@ std::string Trace::validate() const {
   for (const auto& r : requests) {
     if (r.peer >= peers.size()) return "request references unknown peer";
     if (r.swarm >= files.size()) return "request references unknown swarm";
+    if (!std::isfinite(r.at)) return "non-finite request time";
     if (r.at < 0.0 || r.at >= duration) return "request outside duration";
     if (r.at < prev_at) return "requests not sorted by time";
     prev_at = r.at;

@@ -67,8 +67,9 @@ struct Trace {
   std::vector<PeerProfile> peers;     // indexed by PeerId
   std::vector<SwarmRequest> requests; // sorted by time
 
-  /// Structural validation; returns an empty string when valid, otherwise a
-  /// human-readable description of the first problem found.
+  /// Structural validation (dense ids, finite times, sorted sessions and
+  /// requests inside the duration); returns an empty string when valid,
+  /// otherwise a human-readable description of the first problem found.
   std::string validate() const;
 };
 

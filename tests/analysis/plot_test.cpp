@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,12 @@ struct PlotFixture : ::testing::Test {
     o.total_downloaded = gib(1.0);
     o.final_system_reputation = 0.4;
     metrics.outcomes.push_back(o);
-    dir = std::filesystem::temp_directory_path() / "bc_plot_test";
+    // One directory per test: ctest runs each test in its own process,
+    // in parallel, and the destructor removes the directory.
+    dir = std::filesystem::temp_directory_path() /
+          ("bc_plot_test_" + std::string(::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name()));
     std::filesystem::create_directories(dir);
   }
   ~PlotFixture() override {

@@ -36,7 +36,9 @@ TEST(Equation1, HandComputedTable) {
   PeerId j = 1;
   for (const Case& c : cases) {
     g.clear();
-    g.add_capacity(0, 2, 1);  // keep both endpoints known
+    // Keep both endpoints known. The helper edges point away from the
+    // pair: 0 -> 2 -> 1 would add a 1-byte two-hop path from 0 to 1.
+    g.add_capacity(2, 0, 1);
     g.add_capacity(2, 1, 1);
     if (c.received > 0) g.set_capacity(1, 0, c.received);
     if (c.sent > 0) g.set_capacity(0, 1, c.sent);

@@ -32,11 +32,9 @@ TEST(BackendKindNames, AliasesAndSeparators) {
 }
 
 TEST(MakeBackend, ConstructsSelectedKind) {
-  const auto mf = make_backend(BackendKind::kMaxflow, ReputationConfig{},
-                               DifferentialGossipConfig{});
-  const auto dg = make_backend(BackendKind::kDifferentialGossip,
-                               ReputationConfig{},
-                               DifferentialGossipConfig{});
+  const auto mf = make_backend(BackendKind::kMaxflow, ReputationConfig{});
+  const auto dg =
+      make_backend(BackendKind::kDifferentialGossip, ReputationConfig{});
   EXPECT_EQ(mf->name(), "maxflow");
   EXPECT_EQ(dg->name(), "differential-gossip");
   // The production maxflow mode supports per-subject dirty tracking; the
@@ -48,14 +46,15 @@ TEST(MakeBackend, ConstructsSelectedKind) {
 TEST(DifferentialGossip, ZeroRoundsIsThePurePrior) {
   graph::FlowGraph g;
   g.add_capacity(1, 0, kGiB);  // peer 1 served 1 GiB to peer 0
-  DifferentialGossipConfig cfg;
-  cfg.rounds = 0;
-  const DifferentialGossipBackend backend(cfg);
+  const DifferentialGossipBackend backend;
   const auto scores = backend.scores(g);
-  // Prior of peer 1: atan(+1 GiB / 1 GiB) / (pi/2) = 0.5 exactly; peer 0
-  // mirrors it negatively.
-  EXPECT_NEAR(scores.at(1), 0.5, 1e-12);
-  EXPECT_NEAR(scores.at(0), -0.5, 1e-12);
+  // Round 0 is the pure prior: atan(+1 GiB / 1 GiB) / (pi/2) = 0.5 for
+  // peer 1, mirrored for peer 0. Each of the four rounds keeps half of
+  // the prior and averages in the only neighbour's previous score, which
+  // mirrors one's own: s <- 0.25 - s/2, so 0.5 -> 0 -> 0.25 -> 0.125
+  // -> 0.1875 = 3/16.
+  EXPECT_NEAR(scores.at(1), 3.0 / 16.0, 1e-12);
+  EXPECT_NEAR(scores.at(0), -3.0 / 16.0, 1e-12);
 }
 
 TEST(DifferentialGossip, SharerConvergesPositiveFreeriderNegative) {
@@ -151,9 +150,7 @@ TEST(CachedReputationBackend, CachesPerVersionAcrossBackends) {
        {BackendKind::kMaxflow, BackendKind::kDifferentialGossip}) {
     SharedHistory view(/*owner=*/0);
     view.record_local_download(1, kGiB);
-    CachedReputation cache(view,
-                           make_backend(kind, ReputationConfig{},
-                                        DifferentialGossipConfig{}));
+    CachedReputation cache(view, make_backend(kind, ReputationConfig{}));
     const double first = cache.reputation(1);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.reputation(1), first);
@@ -180,8 +177,7 @@ TEST(CrossBackendProperty, BothBackendsRankSharerAboveFreerider) {
 
   for (const BackendKind kind :
        {BackendKind::kMaxflow, BackendKind::kDifferentialGossip}) {
-    const auto backend = make_backend(kind, ReputationConfig{},
-                                      DifferentialGossipConfig{});
+    const auto backend = make_backend(kind, ReputationConfig{});
     const double sharer = backend->reputation(view, kSharer);
     const double freerider = backend->reputation(view, kFreerider);
     EXPECT_GT(sharer, 0.0) << backend->name();

@@ -105,7 +105,6 @@ TEST(Adversaries, LiarBoostIsBoundedByRealService) {
   ScenarioConfig cfg = adversary_scenario(3);
   cfg.freerider_fraction = 0.5;
   cfg.liar_fraction = 0.5;
-  cfg.liar_claimed_upload = gib(1000.0);
   CommunitySimulator sim(std::move(tr), cfg);
   sim.run();
   for (const auto& o : sim.metrics().outcomes) {

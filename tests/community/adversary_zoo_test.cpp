@@ -1,5 +1,5 @@
 // Simulator-level adversary-zoo suite (ctest label: adversary). Each test
-// runs a small community with one registry attack archetype, under one or
+// runs a small community with one catalog attack archetype, under one or
 // both aggregation backends, and asserts the end-to-end properties the
 // ablation bench measures at scale: runs complete, scores stay bounded,
 // and the maxflow metric keeps the class gap positive. The CI

@@ -18,49 +18,56 @@ std::size_t count(const std::vector<const PeerBehavior*>& v,
 }
 
 TEST(BehaviorRegistry, BuiltinsAndPredicates) {
-  auto& reg = BehaviorRegistry::instance();
-  EXPECT_FALSE(reg.at("sharer").freerider());
-  EXPECT_TRUE(reg.at("lazy-freerider").freerider());
-  EXPECT_TRUE(reg.at("ignoring-freerider").freerider());
-  EXPECT_TRUE(reg.at("lying-freerider").freerider());
+  EXPECT_FALSE(behavior_named("sharer").freerider());
+  EXPECT_TRUE(behavior_named("lazy-freerider").freerider());
+  EXPECT_TRUE(behavior_named("ignoring-freerider").freerider());
+  EXPECT_TRUE(behavior_named("lying-freerider").freerider());
 
-  EXPECT_TRUE(reg.at("sharer").sends_messages());
-  EXPECT_TRUE(reg.at("lazy-freerider").sends_messages());
-  EXPECT_FALSE(reg.at("ignoring-freerider").sends_messages());
-  EXPECT_TRUE(reg.at("lying-freerider").sends_messages());
+  EXPECT_TRUE(behavior_named("sharer").sends_messages());
+  EXPECT_TRUE(behavior_named("lazy-freerider").sends_messages());
+  EXPECT_FALSE(behavior_named("ignoring-freerider").sends_messages());
+  EXPECT_TRUE(behavior_named("lying-freerider").sends_messages());
 
-  // The extended zoo is registered too.
-  EXPECT_NE(reg.find("sybil-region"), nullptr);
-  EXPECT_NE(reg.find("slanderer"), nullptr);
-  EXPECT_NE(reg.find("strategic-uploader"), nullptr);
-  EXPECT_NE(reg.find("mobile-churner"), nullptr);
-  EXPECT_FALSE(reg.at("mobile-churner").freerider());
+  // The extended zoo is in the catalog too.
+  EXPECT_NE(find_behavior("sybil-region"), nullptr);
+  EXPECT_NE(find_behavior("slanderer"), nullptr);
+  EXPECT_NE(find_behavior("strategic-uploader"), nullptr);
+  EXPECT_NE(find_behavior("mobile-churner"), nullptr);
+  EXPECT_FALSE(behavior_named("mobile-churner").freerider());
 }
 
 TEST(BehaviorRegistry, AliasesAndNormalization) {
-  auto& reg = BehaviorRegistry::instance();
-  EXPECT_EQ(reg.find("lazy"), reg.find("lazy-freerider"));
-  EXPECT_EQ(reg.find("liar"), reg.find("lying-freerider"));
+  EXPECT_EQ(find_behavior("lazy"), find_behavior("lazy-freerider"));
+  EXPECT_EQ(find_behavior("liar"), find_behavior("lying-freerider"));
+  EXPECT_EQ(find_behavior("bittyrant"), find_behavior("strategic-uploader"));
   // '_' and '-' are interchangeable in lookups.
-  EXPECT_EQ(reg.find("sybil_region"), reg.find("sybil-region"));
-  EXPECT_EQ(reg.find("no-such-behavior"), nullptr);
+  EXPECT_EQ(find_behavior("sybil_region"), find_behavior("sybil-region"));
+  EXPECT_EQ(find_behavior("lazy_freerider"), find_behavior("lazy"));
+  EXPECT_EQ(find_behavior("no-such-behavior"), nullptr);
+  // An empty name matches no behavior (single-alias rows pad with "").
+  EXPECT_EQ(find_behavior(""), nullptr);
 }
 
 TEST(BehaviorRegistry, NamesAreSortedCanonical) {
-  const auto names = BehaviorRegistry::instance().names();
-  EXPECT_GE(names.size(), 8u);
+  const auto names = behavior_names();
+  EXPECT_EQ(names.size(), 8u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   // Aliases are not listed.
   EXPECT_EQ(std::find(names.begin(), names.end(), "lazy"), names.end());
+  for (const std::string& name : names) {
+    ASSERT_NE(find_behavior(name), nullptr) << name;
+    EXPECT_EQ(find_behavior(name)->name(), name);
+  }
 }
 
 TEST(Behavior, SeedDurationPolicy) {
   ScenarioConfig cfg;
-  auto& reg = BehaviorRegistry::instance();
-  EXPECT_DOUBLE_EQ(reg.at("sharer").seed_duration(cfg), cfg.seed_duration);
-  EXPECT_DOUBLE_EQ(reg.at("lazy-freerider").seed_duration(cfg), 0.0);
-  EXPECT_DOUBLE_EQ(reg.at("strategic-uploader").seed_duration(cfg),
-                   cfg.strategic_seed_fraction * cfg.seed_duration);
+  EXPECT_DOUBLE_EQ(behavior_named("sharer").seed_duration(cfg),
+                   cfg.seed_duration);
+  EXPECT_DOUBLE_EQ(behavior_named("lazy-freerider").seed_duration(cfg), 0.0);
+  // A strategic uploader invests a tenth of the sharers' seeding period.
+  EXPECT_DOUBLE_EQ(behavior_named("strategic-uploader").seed_duration(cfg),
+                   0.1 * cfg.seed_duration);
 }
 
 TEST(PopulationSpec, ParsesNameFractionList) {
@@ -111,10 +118,10 @@ TEST(PopulationSpec, SlicesRoundAndClamp) {
 
 TEST(AssignPopulation, FillsRemainderWithFallback) {
   Rng rng(11);
-  auto& reg = BehaviorRegistry::instance();
   const std::vector<PopulationSlice> slices = {
-      {&reg.at("lazy-freerider"), 3}, {&reg.at("sybil-region"), 2}};
-  const auto v = assign_population(10, slices, reg.at("sharer"), rng);
+      {&behavior_named("lazy-freerider"), 3},
+      {&behavior_named("sybil-region"), 2}};
+  const auto v = assign_population(10, slices, behavior_named("sharer"), rng);
   EXPECT_EQ(count(v, "lazy-freerider"), 3u);
   EXPECT_EQ(count(v, "sybil-region"), 2u);
   EXPECT_EQ(count(v, "sharer"), 5u);

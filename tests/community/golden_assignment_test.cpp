@@ -1,10 +1,10 @@
 // Golden-assignment regression: pins the exact RNG draws of
 // assign_behaviors for the paper's §5.1/§5.4 population splits.
 //
-// The expected strings below were captured from the pre-registry enum
+// The expected strings below were captured from the original enum
 // implementation (one Fisher-Yates shuffle over the index vector, legacy
-// lround counts, lazy = freeriders - ignorers - liars). The registry
-// refactor must keep the legacy path bit-identical: any change to the RNG
+// lround counts, lazy = freeriders - ignorers - liars). The behavior
+// catalog must keep the legacy path bit-identical: any change to the RNG
 // consumption, the slice order, or the count arithmetic flips characters
 // here and is a determinism break for every seeded paper scenario.
 #include <gtest/gtest.h>

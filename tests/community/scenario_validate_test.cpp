@@ -1,6 +1,7 @@
 // ScenarioConfig::validate(): the fail-fast contract for population
-// fractions and adversary knobs, including the simulator's rejection path
-// (construction aborts with the validation message).
+// fractions, the population spec and the seeding period, including the
+// simulator's rejection path (construction aborts with the validation
+// message).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -51,19 +52,6 @@ TEST(ScenarioValidate, PopulationSpecChecked) {
   EXPECT_FALSE(cfg.validate().empty());
   cfg.population = "sharer:0.4,sybil-region:0.2";
   EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
-}
-
-TEST(ScenarioValidate, AdversaryKnobsChecked) {
-  ScenarioConfig cfg;
-  cfg.strategic_seed_fraction = 1.5;
-  EXPECT_NE(cfg.validate().find("strategic_seed_fraction"),
-            std::string::npos);
-  cfg = ScenarioConfig{};
-  cfg.mobile_duty_cycle = 0.0;
-  EXPECT_NE(cfg.validate().find("mobile_duty_cycle"), std::string::npos);
-  cfg = ScenarioConfig{};
-  cfg.mobile_churn_period = -1.0;
-  EXPECT_NE(cfg.validate().find("mobile_churn_period"), std::string::npos);
 }
 
 TEST(ScenarioValidate, SeedDurationMustBeANonNegativeNumber) {

@@ -181,7 +181,7 @@ TEST(Simulator, InitialHoldersSeedFromTheStart) {
     }
   }
   EXPECT_EQ(holders, sim.trace().files.size() *
-                         sim.config().initial_holders_per_swarm);
+                         CommunitySimulator::kInitialHoldersPerSwarm);
   sim.run();
   EXPECT_EQ(sim.metrics().outcomes.size(), sim.num_trace_peers());
   // Holders keep seeding for the entire run.

@@ -2,8 +2,8 @@
 """run_scenario must fail loudly on bad input, before it simulates anything.
 
 A bad trace size or ban threshold gets the usage and exit 2; a seeding
-period the scenario rejects, or a --save-trace path that cannot be written,
-gets a message and exit 1.
+period the scenario rejects, a --save-trace path that cannot be written, or
+a --trace file with a non-finite time gets a message and exit 1.
 
 Usage: run_scenario_bad_sizes.py <run_scenario binary>
 
@@ -11,8 +11,10 @@ Every invocation runs under a timeout: a negative count cast to size_t asks
 the trace generator for about 2^64 peers and never returns.
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 # Small sizes keep a case fast even where the check it tests is missing.
 SMALL = ["--peers=5", "--swarms=1", "--days=1"]
@@ -31,12 +33,34 @@ CASES = [
     (["--seed-hours=nan", *SMALL], 1),
     (["--save-trace=/nonexistent/t.csv", *SMALL], 1),
 ]
+
+# Trace files the reader parses but must reject: std::stod accepts "nan"
+# and "inf", and NaN passes every range comparison.
+FILE_AND_PEER = "#file,0,1048576,16384\n#peer,0,1\n"
+BAD_TRACES = {
+    "nan_duration.csv": "#trace,nan\n" + FILE_AND_PEER,
+    "inf_duration.csv": "#trace,inf\n" + FILE_AND_PEER,
+    "nan_session.csv": "#trace,1000\n" + FILE_AND_PEER + "#session,0,0,nan\n",
+    "nan_request.csv": ("#trace,1000\n" + FILE_AND_PEER +
+                        "#session,0,0,900\n#request,0,0,nan\n"),
+}
 TIMEOUT_S = 20
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = list(CASES)
+        for name, text in BAD_TRACES.items():
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            cases.append(([f"--trace={path}"], 1))
+        return run(cases)
+
+
+def run(cases) -> int:
     failures = []
-    for args, expected in CASES:
+    for args, expected in cases:
         label = " ".join(args)
         try:
             proc = subprocess.run([sys.argv[1], *args], capture_output=True,

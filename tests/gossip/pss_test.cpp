@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <vector>
 
 namespace bc::gossip {
 namespace {
@@ -15,33 +15,23 @@ const PeerSamplingService::CanTalk kNeverTalk = [](PeerId, PeerId) {
   return false;
 };
 
-PeerSamplingService make_pss(std::size_t view_size = 8,
-                             std::size_t exchange = 4) {
-  PeerSamplingService::Config cfg;
-  cfg.seed = 11;
-  cfg.view_size = view_size;
-  cfg.exchange_size = exchange;
-  return PeerSamplingService(cfg);
+PeerSamplingService make_pss(std::size_t num_peers = 8) {
+  return PeerSamplingService(/*seed=*/11, num_peers);
 }
 
 TEST(Pss, RegisterAndBootstrap) {
-  auto pss = make_pss();
-  pss.register_peer(1);
-  EXPECT_TRUE(pss.is_registered(1));
-  EXPECT_EQ(pss.view_size(1), 0u);
+  // Every peer of the population starts with an empty view.
+  auto pss = make_pss(5);
+  for (PeerId p = 0; p < 5; ++p) EXPECT_EQ(pss.view_size(p), 0u);
   const std::vector<PeerId> seeds{2, 3, 4};
-  pss.register_peer(2);
-  pss.register_peer(3);
-  pss.register_peer(4);
   pss.bootstrap(1, seeds);
   EXPECT_EQ(pss.view_size(1), 3u);
+  EXPECT_EQ(pss.view(1), seeds);
 }
 
 TEST(Pss, ViewNeverContainsSelf) {
   auto pss = make_pss();
-  pss.register_peer(1);
   const std::vector<PeerId> seeds{1, 1, 2};
-  pss.register_peer(2);
   pss.bootstrap(1, seeds);
   const auto view = pss.view(1);
   EXPECT_EQ(std::count(view.begin(), view.end(), 1u), 0);
@@ -49,28 +39,22 @@ TEST(Pss, ViewNeverContainsSelf) {
 
 TEST(Pss, ViewDeduplicates) {
   auto pss = make_pss();
-  pss.register_peer(1);
-  pss.register_peer(2);
   const std::vector<PeerId> seeds{2, 2, 2};
   pss.bootstrap(1, seeds);
   EXPECT_EQ(pss.view_size(1), 1u);
 }
 
 TEST(Pss, ViewBounded) {
-  auto pss = make_pss(/*view_size=*/4);
-  pss.register_peer(0);
+  constexpr PeerId n = 2 * PeerSamplingService::kViewSize + 1;
+  auto pss = make_pss(n);
   std::vector<PeerId> seeds;
-  for (PeerId p = 1; p <= 20; ++p) {
-    pss.register_peer(p);
-    seeds.push_back(p);
-  }
+  for (PeerId p = 1; p < n; ++p) seeds.push_back(p);
   pss.bootstrap(0, seeds);
-  EXPECT_EQ(pss.view_size(0), 4u);
+  EXPECT_EQ(pss.view_size(0), PeerSamplingService::kViewSize);
 }
 
 TEST(Pss, ExchangeReturnsPartnerAndSpreadsEntries) {
-  auto pss = make_pss();
-  for (PeerId p = 0; p < 6; ++p) pss.register_peer(p);
+  auto pss = make_pss(6);
   const std::vector<PeerId> a_seeds{1};
   const std::vector<PeerId> b_seeds{2, 3, 4, 5};
   pss.bootstrap(0, a_seeds);
@@ -86,58 +70,22 @@ TEST(Pss, ExchangeReturnsPartnerAndSpreadsEntries) {
 
 TEST(Pss, ExchangeWithEmptyViewFails) {
   auto pss = make_pss();
-  pss.register_peer(0);
   EXPECT_EQ(pss.exchange(0, kAlwaysTalk), kInvalidPeer);
 }
 
 TEST(Pss, ExchangeRespectsCanTalk) {
   auto pss = make_pss();
-  pss.register_peer(0);
-  pss.register_peer(1);
   const std::vector<PeerId> seeds{1};
   pss.bootstrap(0, seeds);
   EXPECT_EQ(pss.exchange(0, kNeverTalk), kInvalidPeer);
   EXPECT_EQ(pss.exchange(0, kAlwaysTalk), 1u);
 }
 
-TEST(Pss, ExchangeGarbageCollectsUnregisteredEntries) {
-  auto pss = make_pss();
-  pss.register_peer(0);
-  // 99 was never registered (e.g. a stale entry).
-  pss.register_peer(1);
-  const std::vector<PeerId> seeds{99, 1};
-  pss.bootstrap(0, seeds);
-  EXPECT_EQ(pss.view_size(0), 2u);
-  (void)pss.exchange(0, kAlwaysTalk);
-  const auto view = pss.view(0);
-  EXPECT_EQ(std::count(view.begin(), view.end(), 99u), 0);
-}
-
-TEST(Pss, SampleFiltersAndBounds) {
-  auto pss = make_pss();
-  pss.register_peer(0);
-  std::vector<PeerId> seeds;
-  for (PeerId p = 1; p <= 6; ++p) {
-    pss.register_peer(p);
-    seeds.push_back(p);
-  }
-  pss.bootstrap(0, seeds);
-  const auto odd_only = [](PeerId, PeerId candidate) {
-    return candidate % 2 == 1;
-  };
-  const auto sample = pss.sample(0, 10, odd_only);
-  EXPECT_LE(sample.size(), 3u);
-  for (PeerId p : sample) EXPECT_EQ(p % 2, 1u);
-  const auto two = pss.sample(0, 2, kAlwaysTalk);
-  EXPECT_EQ(two.size(), 2u);
-}
-
 TEST(Pss, EpidemicSpreadsKnowledge) {
   // A line bootstrap (each peer knows only its successor) must become a
   // well-mixed set of views after enough random exchanges.
-  auto pss = make_pss(/*view_size=*/10, /*exchange=*/5);
-  const PeerId n = 20;
-  for (PeerId p = 0; p < n; ++p) pss.register_peer(p);
+  const PeerId n = 40;
+  auto pss = make_pss(n);
   for (PeerId p = 0; p < n; ++p) {
     const std::vector<PeerId> seed{static_cast<PeerId>((p + 1) % n)};
     pss.bootstrap(p, seed);
@@ -150,13 +98,16 @@ TEST(Pss, EpidemicSpreadsKnowledge) {
     avg += static_cast<double>(pss.view_size(p));
   }
   avg /= n;
-  EXPECT_GT(avg, 7.0);  // views filled up by the epidemic
+  // Views filled up by the epidemic.
+  EXPECT_GT(avg, 0.7 * static_cast<double>(PeerSamplingService::kViewSize));
 }
 
-TEST(PssDeathTest, DoubleRegistration) {
-  auto pss = make_pss();
-  pss.register_peer(1);
-  EXPECT_DEATH(pss.register_peer(1), "twice");
+TEST(PssDeathTest, PeerOutsideThePopulationRejected) {
+  auto pss = make_pss(4);
+  const std::vector<PeerId> seeds{4};
+  EXPECT_DEATH(pss.bootstrap(0, seeds), "outside the population");
+  EXPECT_DEATH(pss.bootstrap(4, std::vector<PeerId>{1}),
+               "outside the population");
 }
 
 }  // namespace

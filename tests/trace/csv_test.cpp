@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "trace/generator.hpp"
 
 namespace bc::trace {
@@ -83,6 +86,31 @@ TEST(TraceCsv, RejectsSemanticallyInvalid) {
   std::string error;
   EXPECT_FALSE(from_csv(text, &error).has_value());
   EXPECT_NE(error.find("invalid trace"), std::string::npos);
+}
+
+TEST(TraceCsv, RejectsNonFiniteTimes) {
+  // std::stod parses "nan" and "inf", and NaN passes every range
+  // comparison: each of these used to load and then abort the simulator.
+  const std::string file_and_peer =
+      "#file,0,1000,100\n"
+      "#peer,0,1\n";
+  const std::pair<const char*, std::string> cases[] = {
+      {"nan duration", "#trace,nan\n" + file_and_peer},
+      {"infinite duration", "#trace,inf\n" + file_and_peer},
+      {"nan session end",
+       "#trace,100\n" + file_and_peer + "#session,0,0,nan\n"},
+      {"nan request time",
+       "#trace,100\n" + file_and_peer + "#session,0,0,50\n"
+       "#request,0,0,nan\n"},
+  };
+  for (const auto& [label, text] : cases) {
+    std::string error;
+    EXPECT_FALSE(from_csv(text, &error).has_value()) << label;
+    EXPECT_NE(error.find("invalid trace"), std::string::npos)
+        << label << ": " << error;
+    EXPECT_NE(error.find("finite"), std::string::npos)
+        << label << ": " << error;
+  }
 }
 
 TEST(TraceCsv, EmptyInputIsInvalid) {
