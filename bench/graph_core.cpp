@@ -4,7 +4,7 @@
 // invalidation vs. the old whole-cache (global-version) invalidation.
 //
 // Two sections:
-//  1. Per-operation costs (add_capacity / set_capacity / capacity query /
+//  1. Per-operation costs (add_capacity / raise_capacity / capacity query /
 //     two-hop maxflow) on identical random graphs, dense vs. reference.
 //  2. A gossip-then-sweep loop: R rounds of a few edge mutations followed
 //     by a full sweep over every known subject. The incremental cache
@@ -41,7 +41,7 @@ namespace {
 
 constexpr PeerId kOpPeers = 400;
 constexpr std::size_t kAdds = 60000;
-constexpr std::size_t kSets = 20000;
+constexpr std::size_t kRaises = 20000;
 constexpr std::size_t kQueries = 200000;
 constexpr std::size_t kScans = 200000;
 constexpr std::size_t kTwoHops = 20000;
@@ -77,11 +77,11 @@ std::vector<double> run_ops(G& g, TwoHopFn flow, ScanFn scan) {
   ns.push_back(watch.elapsed_ns() / static_cast<double>(kAdds));
 
   watch.restart();
-  for (std::size_t i = 0; i < kSets; ++i) {
+  for (std::size_t i = 0; i < kRaises; ++i) {
     const PeerId u = pick(), v = pick();
-    if (u != v) g.set_capacity(u, v, rng.uniform_int(1, kMiB));
+    if (u != v) g.raise_capacity(u, v, rng.uniform_int(1, kMiB));
   }
-  ns.push_back(watch.elapsed_ns() / static_cast<double>(kSets));
+  ns.push_back(watch.elapsed_ns() / static_cast<double>(kRaises));
 
   watch.restart();
   for (std::size_t i = 0; i < kQueries; ++i) {
@@ -131,7 +131,7 @@ std::vector<OpRow> run_op_section(std::string& json) {
       });
   const std::vector<OpRow> rows = {
       {"add_capacity", kAdds, d[0], r[0]},
-      {"set_capacity", kSets, d[1], r[1]},
+      {"raise_capacity", kRaises, d[1], r[1]},
       {"capacity_query", kQueries, d[2], r[2]},
       {"edge_scan", kScans, d[3], r[3]},
       {"two_hop_maxflow", kTwoHops, d[4], r[4]},

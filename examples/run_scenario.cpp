@@ -28,7 +28,7 @@ const std::map<std::string, std::string> kFlags = {
     {"seed", "random seed (default 1)"},
     {"peers", "number of trace peers (default 100)"},
     {"swarms", "number of swarms (default 10)"},
-    {"days", "trace duration in days (default 7)"},
+    {"days", "trace duration in days, at most 365 (default 7)"},
     {"trace", "load a trace CSV instead of generating one"},
     {"save-trace", "write the generated trace to this CSV path"},
     {"policy", "none | rank | ban (default none)"},
@@ -96,11 +96,12 @@ int main(int argc, char** argv) {
   cfg.node.backend = *backend_kind;
   if (!flags.valid()) return fail_usage(argv[0]);
   // Checked before the size casts below, which would turn a negative count
-  // into about 2^64, and before the generator's own assertions.
+  // into about 2^64, and before the generator's own assertions; a trace
+  // longer than trace::kMaxDuration would fail validation.
   if (peers < 1 || swarms < 1 || !std::isfinite(trace_days) ||
-      trace_days <= 0.0) {
-    std::fputs("--peers and --swarms must be at least 1, and --days finite "
-               "and positive\n",
+      trace_days <= 0.0 || trace_days * kDay > trace::kMaxDuration) {
+    std::fputs("--peers and --swarms must be at least 1, and --days finite, "
+               "positive and at most 365\n",
                stderr);
     return fail_usage(argv[0]);
   }

@@ -77,6 +77,14 @@ int main(int argc, char** argv) {
                  "is dumped to\n");
     return 1;
   }
+  // The simulator only warns when it cannot open the stream; refuse the
+  // path here, before a whole run writes nothing to it. The simulator
+  // truncates the probe's empty file when it opens the stream.
+  if (!metrics_stream.empty() && !obs::write_text_file(metrics_stream, "")) {
+    std::fprintf(stderr, "error: could not write %s\n",
+                 metrics_stream.c_str());
+    return 1;
+  }
   const bool profile = flags->get_bool("profile", false) ||
                        !metrics_out.empty() || !trace_out.empty();
   // Enable before the simulator is constructed: schedule_periodics checks

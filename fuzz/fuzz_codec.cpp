@@ -8,6 +8,10 @@
 //      message equal field-for-field to the first decode.
 //   3. Safe merge: applying the message to a Node keeps its subjective
 //      graph's invariants (e.g. no node for kInvalidPeer).
+//   4. Idempotent merge: applying the same message again is a no-op. The
+//      view's version() bumps on every capacity raise, so it must not
+//      move, even when the message repeats a pair with different totals
+//      (the max-merge already kept the larger of each).
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -47,6 +51,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   Node node(1);
   node.receive_message(*msg);
+  require(node.view().graph().check_invariants());
+
+  const std::uint64_t version = node.view().version();
+  node.receive_message(*msg);
+  require(node.view().version() == version);
   require(node.view().graph().check_invariants());
   return 0;
 }

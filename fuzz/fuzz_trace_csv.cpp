@@ -1,9 +1,12 @@
 // Fuzz harness for the trace CSV reader (trace/csv.cpp).
 //
 // Any text from_csv() accepts has already passed Trace::validate(): every
-// time in it must be finite (the reader parses "nan" and "inf"), and it
-// must round-trip: to_csv() of the parsed trace parses again and
-// re-serializes byte-identically.
+// time in it must be finite (the reader parses "nan" and "inf"), the trace
+// must lie within the bounds on what it makes the simulator allocate
+// (kMaxDuration, and kMaxPieces per file, computed through num_pieces() so
+// the sanitizer builds check that arithmetic), and it must round-trip:
+// to_csv() of the parsed trace parses again and re-serializes
+// byte-identically.
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +31,14 @@ bool all_times_finite(const bc::trace::Trace& trace) {
   }
   return true;
 }
+
+bool within_bounds(const bc::trace::Trace& trace) {
+  if (trace.duration > bc::trace::kMaxDuration) return false;
+  for (const auto& f : trace.files) {
+    if (f.num_pieces() > bc::trace::kMaxPieces) return false;
+  }
+  return true;
+}
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -40,6 +51,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto trace = from_csv(text, &error);
   if (!trace.has_value()) return 0;
   require(all_times_finite(*trace));
+  require(within_bounds(*trace));
 
   const std::string csv = to_csv(*trace);
   std::string error2;

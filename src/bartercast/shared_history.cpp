@@ -43,8 +43,11 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
   ApplyStats stats;
   for (const BarterRecord& r : message.records) {
     // Rule 2: a record must involve its sender. kInvalidPeer names no
-    // one (and marks free graph slots), so a record naming it reports on
-    // no real pair and is dropped with the third-party records.
+    // one, so a record naming it reports on no real pair and is dropped
+    // with the third-party records. It must never become a graph node
+    // either: the graph core uses it as a sentinel (the capacity sidecar's
+    // empty-cell key packs it twice; Edmonds-Karp marks undiscovered nodes
+    // with it).
     if ((r.subject != message.sender && r.other != message.sender) ||
         r.subject == kInvalidPeer || r.other == kInvalidPeer) {
       ++stats.dropped_third_party;
@@ -59,22 +62,12 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
       ++stats.dropped_own_edge;
       continue;
     }
-    bool changed = false;
-    if (r.subject_to_other > 0) {
-      const Bytes current = graph_.capacity(r.subject, r.other);
-      if (r.subject_to_other > current) {
-        graph_.set_capacity(r.subject, r.other, r.subject_to_other);
-        changed = true;
-      }
-    }
-    if (r.other_to_subject > 0) {
-      const Bytes current = graph_.capacity(r.other, r.subject);
-      if (r.other_to_subject > current) {
-        graph_.set_capacity(r.other, r.subject, r.other_to_subject);
-        changed = true;
-      }
-    }
-    if (changed) {
+    // Max-merge (paper §3.4): each direction rises only to a larger total.
+    const bool raised =
+        graph_.raise_capacity(r.subject, r.other, r.subject_to_other);
+    const bool raised_back =
+        graph_.raise_capacity(r.other, r.subject, r.other_to_subject);
+    if (raised || raised_back) {
       ++version_;
       // A remote edge (subject, other) is incident to exactly those two
       // peers, so they are the only subjects whose two-hop reputation

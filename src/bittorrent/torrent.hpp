@@ -1,6 +1,8 @@
 // Torrent metadata.
 #pragma once
 
+#include <cstdint>
+
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/ids.hpp"
@@ -20,7 +22,10 @@ struct Torrent {
     t.id = file.id;
     t.size = file.size;
     t.piece_size = file.piece_size;
-    t.num_pieces = file.num_pieces();
+    // Trace::validate() caps the count, so it fits the int piece indices.
+    const std::int64_t pieces = file.num_pieces();
+    BC_ASSERT(pieces <= trace::kMaxPieces);
+    t.num_pieces = static_cast<int>(pieces);
     return t;
   }
 

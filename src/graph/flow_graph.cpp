@@ -30,20 +30,13 @@ const Edge* adj_find(const std::vector<Edge>& adj, PeerId peer) {
   return it != adj.end() && it->peer == peer ? &*it : nullptr;
 }
 
-/// Removes the entry for `peer`; the entry must exist.
-void adj_erase(std::vector<Edge>& adj, PeerId peer) {
-  auto it = adj_lower_bound(adj, peer);
-  BC_DASSERT(it != adj.end() && it->peer == peer);
-  adj.erase(it);
-}
-
 }  // namespace
 
 NodeIndex FlowGraph::touch(PeerId node) {
   const NodeIndex slot = index_.intern(node);
   if (slot >= out_.size()) {
-    out_.resize(index_.slot_count());
-    in_.resize(index_.slot_count());
+    out_.resize(index_.size());
+    in_.resize(index_.size());
   }
   return slot;
 }
@@ -72,25 +65,17 @@ void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
   }
 }
 
-void FlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
-  BC_ASSERT(amount >= 0);
+bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
   BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
+  // Every capacity is positive and an absent edge reads 0, so an amount
+  // <= 0 never raises; otherwise one sidecar probe settles the common
+  // merge check, which raises nothing.
+  if (amount <= 0 || amount <= capacity(from, to)) return false;
   const NodeIndex fi = touch(from);
   const NodeIndex ti = touch(to);
   auto& adj = out_[fi];
   auto it = adj_lower_bound(adj, to);
-  const bool present = it != adj.end() && it->peer == to;
-  if (amount == 0) {
-    if (present) {
-      adj.erase(it);
-      adj_erase(in_[ti], from);
-      caps_.erase(from, to);
-      --num_edges_;
-      ++gen_;
-    }
-    return;
-  }
-  if (present) {
+  if (it != adj.end() && it->peer == to) {
     it->cap = amount;
     adj_lower_bound(in_[ti], from)->cap = amount;
   } else {
@@ -101,6 +86,7 @@ void FlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
     ++gen_;
   }
   caps_.insert_or_assign(from, to, amount);
+  return true;
 }
 
 Bytes FlowGraph::capacity(PeerId from, PeerId to) const {
@@ -159,42 +145,10 @@ Bytes FlowGraph::total_capacity() const {
   return total;
 }
 
-void FlowGraph::remove_node(PeerId node) {
-  const NodeIndex slot = index_.find(node);
-  if (slot == kNoNode) return;
-  // Drop outgoing edges and their reverse index entries.
-  for (const Edge& e : out_[slot]) {
-    adj_erase(in_[index_.find(e.peer)], node);
-    caps_.erase(node, e.peer);
-    --num_edges_;
-  }
-  // Drop incoming edges.
-  for (const Edge& e : in_[slot]) {
-    adj_erase(out_[index_.find(e.peer)], node);
-    caps_.erase(e.peer, node);
-    --num_edges_;
-  }
-  out_[slot].clear();
-  out_[slot].shrink_to_fit();
-  in_[slot].clear();
-  in_[slot].shrink_to_fit();
-  index_.erase(node);
-  ++gen_;
-}
-
-void FlowGraph::clear() {
-  index_.clear();
-  out_.clear();
-  in_.clear();
-  caps_.clear();
-  num_edges_ = 0;
-  ++gen_;
-}
-
 bool FlowGraph::check_invariants() const {
   if (!index_.check_invariants()) return false;
   if (out_.size() != in_.size()) return false;
-  if (out_.size() > index_.slot_count()) return false;
+  if (out_.size() != index_.size()) return false;
   auto sorted_positive = [](const std::vector<Edge>& adj) {
     for (std::size_t i = 0; i < adj.size(); ++i) {
       if (adj[i].cap <= 0) return false;
@@ -205,11 +159,6 @@ bool FlowGraph::check_invariants() const {
   std::size_t edges = 0;
   for (NodeIndex slot = 0; slot < out_.size(); ++slot) {
     const PeerId id = index_.peer(slot);
-    if (id == kInvalidPeer) {
-      // Free slot: must hold no adjacency.
-      if (!out_[slot].empty() || !in_[slot].empty()) return false;
-      continue;
-    }
     if (!sorted_positive(out_[slot]) || !sorted_positive(in_[slot])) {
       return false;
     }

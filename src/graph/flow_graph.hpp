@@ -1,15 +1,18 @@
 // Directed graph with non-negative integer edge capacities.
 //
 // In BarterCast the capacity c(i, j) is "the total number of bytes peer i
-// has uploaded to peer j in the past" (paper §3.2). The graph is sparse and
-// mutated incrementally as transfer records arrive; at reputation-serving
-// scale the two-hop maxflow query is the hot path of the whole system, so
-// storage is a dense-index core: a PeerIndex interns PeerIds to dense
-// NodeIndex slots, and per-node adjacency is a sorted array of Edge entries
-// (ascending neighbor PeerId) with a mirrored in-edge array for reverse
-// traversal. Sorted arrays make neighbor queries a binary search, the
-// two-hop flow a linear merge-scan (see maxflow.cpp), and every public
-// iteration surface deterministically ordered without sorted_view wrappers.
+// has uploaded to peer j in the past" (paper §3.2), and gossiped totals are
+// merged with max (§3.4). So the graph only grows: it gains nodes and edges
+// and its capacities rise, but nothing is ever removed or lowered. It is
+// sparse and mutated incrementally as transfer records arrive; at
+// reputation-serving scale the two-hop maxflow query is the hot path of the
+// whole system, so storage is a dense-index core: a PeerIndex interns
+// PeerIds to dense NodeIndex slots, and per-node adjacency is a sorted
+// array of Edge entries (ascending neighbor PeerId) with a mirrored in-edge
+// array for reverse traversal. Sorted arrays make neighbor queries a binary
+// search, the two-hop flow a linear merge-scan (see maxflow.cpp), and every
+// public iteration surface deterministically ordered without sorted_view
+// wrappers.
 //
 // The public API speaks PeerId only. Dense indices are an internal detail
 // of src/graph/ (bc-analyze rule G1 flags leaks); the `index()` accessor
@@ -55,10 +58,10 @@ struct Edge {
 /// A read-only view of one node's adjacency array. Semantically a
 /// std::span<const Edge> (and exactly that in release builds), but in debug
 /// and validate builds every access BC_DASSERT-checks that the owning
-/// FlowGraph has not been structurally mutated (edge inserted/erased, node
-/// removed, clear()) since the view was taken — holding a view across
-/// add_capacity/set_capacity/remove_node is the classic dangling-span bug,
-/// and this makes it fail-stop instead of silent UB.
+/// FlowGraph has not inserted an edge since the view was taken: an insert
+/// may move adjacency storage, so holding a view across
+/// add_capacity/raise_capacity is the classic dangling-span bug, and this
+/// makes it fail-stop instead of silent UB.
 class EdgeView {
  public:
   using value_type = Edge;
@@ -130,8 +133,10 @@ class FlowGraph {
   /// the nodes (but not the edge).
   void add_capacity(PeerId from, PeerId to, Bytes amount);
 
-  /// Replaces the capacity of edge (from, to). A value of 0 removes the edge.
-  void set_capacity(PeerId from, PeerId to, Bytes amount);
+  /// Sets the capacity of edge (from, to) to max(capacity, amount) and
+  /// returns whether it rose: the max-merge of a gossiped total (paper
+  /// §3.4). Only a raise creates the nodes and the edge.
+  bool raise_capacity(PeerId from, PeerId to, Bytes amount);
 
   /// Capacity of (from, to); 0 if the edge or either node is absent.
   Bytes capacity(PeerId from, PeerId to) const;
@@ -141,12 +146,12 @@ class FlowGraph {
   std::size_t num_edges() const { return num_edges_; }
 
   /// Successors of `node` with positive capacity, ascending by PeerId.
-  /// Empty view for an unknown node. Invalidated by any structural mutation
-  /// (debug builds assert on stale access; see EdgeView).
+  /// Empty view for an unknown node. Invalidated by any edge insert (debug
+  /// builds assert on stale access; see EdgeView).
   EdgeView out_edges(PeerId node) const;
   /// Predecessors of `node` (each entry: tail peer and the capacity of the
-  /// edge into `node`), ascending by PeerId. Invalidated by any structural
-  /// mutation (debug builds assert on stale access; see EdgeView).
+  /// edge into `node`), ascending by PeerId. Invalidated by any edge insert
+  /// (debug builds assert on stale access; see EdgeView).
   EdgeView in_edges(PeerId node) const;
 
   /// All node ids, sorted ascending (deterministic across runs and
@@ -162,13 +167,6 @@ class FlowGraph {
   /// Sum of capacities entering `node` (the trivial cut around the sink).
   Bytes in_capacity(PeerId node) const;
 
-  /// Removes a node and all incident edges, returning its slot to the
-  /// PeerIndex free list (a later add re-interns it, possibly at a
-  /// different slot). No-op for unknown node.
-  void remove_node(PeerId node);
-
-  void clear();
-
   /// Internal consistency check (adjacency sorted strictly ascending, all
   /// capacities positive, out/in arrays mirror each other with equal
   /// capacities, PeerIndex bijection intact). Used by tests and BC_DASSERT
@@ -179,11 +177,11 @@ class FlowGraph {
   /// tests of this module only (bc-analyze G1 enforces the boundary).
   const PeerIndex& index() const { return index_; }
 
-  /// Structural-mutation counter: bumped by every edge insert/erase,
-  /// remove_node and clear() — exactly the operations that can invalidate
-  /// an outstanding EdgeView. Maintained in all build types (one increment
-  /// per mutation is noise next to the adjacency work); only debug builds
-  /// *check* it. Exposed for tests and external snapshot protocols.
+  /// Structural-mutation counter: bumped by every edge insert, the only
+  /// operation that can invalidate an outstanding EdgeView. Maintained in
+  /// all build types (one increment per insert is noise next to the
+  /// adjacency work); only debug builds *check* it. Exposed for tests and
+  /// external snapshot protocols.
   std::uint64_t generation() const { return gen_; }
 
  private:
@@ -199,8 +197,8 @@ class FlowGraph {
   /// for every iteration surface (merge scans, spans, determinism); the
   /// sidecar exists solely so the point query `capacity(from, to)` is a
   /// single probe sequence instead of a binary search over a scattered
-  /// adjacency array. Linear probing with backward-shift deletion keeps
-  /// the table tombstone-free under set_capacity(.., 0) and remove_node.
+  /// adjacency array. Entries are never erased (the graph only grows), so
+  /// linear probing needs no tombstones.
   class CapSidecar {
    public:
     const Bytes* find(PeerId from, PeerId to) const {
@@ -229,39 +227,6 @@ class FlowGraph {
       ++size_;
     }
 
-    void erase(PeerId from, PeerId to) {
-      if (cells_.empty()) return;
-      const std::uint64_t key = key_of(from, to);
-      std::size_t hole = hash_of(key) & mask_;
-      while (cells_[hole].key != key) {
-        if (cells_[hole].key == kEmpty) return;
-        hole = (hole + 1) & mask_;
-      }
-      // Backward-shift deletion: pull every displaced follower whose
-      // probe path crosses the hole, so lookups never need tombstones.
-      // Probe distances are mod-table-size; the + cells_.size() keeps the
-      // subtraction non-negative where the index wrapped past slot 0.
-      std::size_t j = hole;
-      while (true) {
-        j = (j + 1) & mask_;
-        if (cells_[j].key == kEmpty) break;
-        const std::size_t home = hash_of(cells_[j].key) & mask_;
-        if (((j + cells_.size() - home) & mask_) >=
-            ((j + cells_.size() - hole) & mask_)) {
-          cells_[hole] = cells_[j];
-          hole = j;
-        }
-      }
-      cells_[hole].key = kEmpty;
-      --size_;
-    }
-
-    void clear() {
-      cells_.clear();
-      mask_ = 0;
-      size_ = 0;
-    }
-
     std::size_t size() const { return size_; }
 
    private:
@@ -272,7 +237,7 @@ class FlowGraph {
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
     // The sentinel packs the self-edge (kInvalidPeer, kInvalidPeer), which
-    // add_capacity/set_capacity reject, so no stored key can collide with
+    // add_capacity/raise_capacity reject, so no stored key can collide with
     // it (and find() of that pair stops at the first free cell).
     static std::uint64_t key_of(PeerId from, PeerId to) {
       return (std::uint64_t{from} << 32) | std::uint64_t{to};

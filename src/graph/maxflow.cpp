@@ -147,9 +147,9 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
   SearchScratch& scratch = search_scratch();
   std::vector<char>& visited = scratch.visited;
   std::vector<PeerId>& path = scratch.path;
-  path.reserve(g.index().slot_count() + 1);
+  path.reserve(g.index().size() + 1);
   for (;;) {
-    visited.assign(g.index().slot_count(), 0);
+    visited.assign(g.index().size(), 0);
     path.clear();
     path.push_back(s);
     if (!dfs_find_path(g, res, s, t, max_path_edges, visited, path,
@@ -181,14 +181,14 @@ Bytes max_flow_edmonds_karp(const FlowGraph& g, PeerId s, PeerId t) {
   SearchScratch& scratch = search_scratch();
   std::vector<PeerId>& parent = scratch.parent;
   std::vector<PeerId>& queue = scratch.queue;
-  queue.reserve(g.index().slot_count());
+  queue.reserve(g.index().size());
   for (;;) {
     // BFS for the shortest augmenting path. The parent table is a dense
     // slot-indexed array: parent[slot(v)] is the BFS predecessor of v, or
     // kInvalidPeer while v is undiscovered. The FIFO is the reusable
     // `queue` buffer with a cursor instead of pop_front: same visit order,
     // no per-round deque churn.
-    parent.assign(g.index().slot_count(), kInvalidPeer);
+    parent.assign(g.index().size(), kInvalidPeer);
     parent[g.index().find(s)] = s;
     queue.clear();
     queue.push_back(s);

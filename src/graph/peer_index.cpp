@@ -1,51 +1,14 @@
 #include "graph/peer_index.hpp"
 
-#include <algorithm>
-#include <functional>
-
-#include "util/assert.hpp"
 #include "util/sorted_view.hpp"
 
 namespace bc::graph {
 
 NodeIndex PeerIndex::intern(PeerId id) {
-  auto [it, inserted] = index_of_.try_emplace(id, kNoNode);
-  if (!inserted) return it->second;
-  NodeIndex slot;
-  if (!free_.empty()) {
-    slot = free_.back();  // smallest free slot: free_ is sorted descending
-    free_.pop_back();
-    BC_DASSERT(peer_of_[slot] == kInvalidPeer);
-    peer_of_[slot] = id;
-  } else {
-    slot = static_cast<NodeIndex>(peer_of_.size());
-    peer_of_.push_back(id);
-  }
-  it->second = slot;
-  return slot;
-}
-
-void PeerIndex::erase(PeerId id) {
-  auto it = index_of_.find(id);
-  if (it == index_of_.end()) return;
-  const NodeIndex slot = it->second;
-  index_of_.erase(it);
-  peer_of_[slot] = kInvalidPeer;
-  // Keep the free list sorted descending so the smallest slot is recycled
-  // first; removal is rare, so the O(free) insertion is acceptable. The
-  // invariant free_.size() <= peer_of_.size() makes this reserve a one-time
-  // cost: churn inside the simulation round loop never hits the allocator.
-  free_.reserve(peer_of_.size());
-  free_.insert(
-      std::lower_bound(free_.begin(), free_.end(), slot,
-                       std::greater<NodeIndex>()),
-      slot);
-}
-
-void PeerIndex::clear() {
-  index_of_.clear();
-  peer_of_.clear();
-  free_.clear();
+  auto [it, inserted] =
+      index_of_.try_emplace(id, static_cast<NodeIndex>(peer_of_.size()));
+  if (inserted) peer_of_.push_back(id);
+  return it->second;
 }
 
 std::vector<PeerId> PeerIndex::ids_sorted() const {
@@ -53,23 +16,11 @@ std::vector<PeerId> PeerIndex::ids_sorted() const {
 }
 
 bool PeerIndex::check_invariants() const {
-  if (index_of_.size() + free_.size() != peer_of_.size()) return false;
+  if (index_of_.size() != peer_of_.size()) return false;
   // bc-analyze: allow(D1) -- boolean all-of over the map; a pure predicate, order cannot change the result
   for (const auto& [id, slot] : index_of_) {
     if (id == kInvalidPeer) return false;
     if (slot >= peer_of_.size() || peer_of_[slot] != id) return false;
-  }
-  if (!std::is_sorted(free_.begin(), free_.end(),
-                      std::greater<NodeIndex>())) {
-    return false;
-  }
-  if (std::adjacent_find(free_.begin(), free_.end()) != free_.end()) {
-    return false;
-  }
-  for (const NodeIndex slot : free_) {
-    if (slot >= peer_of_.size() || peer_of_[slot] != kInvalidPeer) {
-      return false;
-    }
   }
   return true;
 }

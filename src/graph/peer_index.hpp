@@ -4,15 +4,16 @@
 // FlowGraph addresses its vertex tables with NodeIndex — a dense u32 slot
 // number — so adjacency, visited sets, and residual bookkeeping are plain
 // vectors instead of hash maps. PeerIndex owns the PeerId <-> NodeIndex
-// bijection. Slots freed by remove_node() are recycled smallest-first, so
-// the slot table stays compact under churn and the assignment depends only
-// on the operation sequence (deterministic across runs and standard
-// libraries).
+// bijection. Interning is append-only, as the graph only grows: slots are
+// handed out in first-touch order and never freed, so the assignment
+// depends only on the operation sequence (deterministic across runs and
+// standard libraries).
 //
-// NodeIndex values are an implementation detail of src/graph/: they are
-// not stable identifiers (a freed slot is reassigned to a different peer)
-// and must never leak into gossip, reputation, or serialized output.
-// bc-analyze rule G1 flags any use of this header outside src/graph/.
+// NodeIndex values are an implementation detail of src/graph/: a slot is
+// one graph's first-touch order, so the same peer has different slots in
+// different graphs, and slots must never leak into gossip, reputation, or
+// serialized output. bc-analyze rule G1 flags any use of this header
+// outside src/graph/.
 #pragma once
 
 #include <cstddef>
@@ -26,54 +27,44 @@
 namespace bc::graph {
 
 /// Dense slot number of a peer inside one FlowGraph. Valid only for the
-/// graph that issued it, and only until that peer is removed.
+/// graph that issued it.
 using NodeIndex = std::uint32_t;
 
 inline constexpr NodeIndex kNoNode = std::numeric_limits<NodeIndex>::max();
 
 class PeerIndex {
  public:
-  /// Slot of `id`, creating one if absent. Freed slots are recycled
-  /// smallest-first before the table grows.
+  /// Slot of `id`, appending one if absent.
   NodeIndex intern(PeerId id);
 
-  /// Slot of `id`, or kNoNode if the peer was never interned (or erased).
+  /// Slot of `id`, or kNoNode if the peer was never interned.
   NodeIndex find(PeerId id) const {
     auto it = index_of_.find(id);
     return it == index_of_.end() ? kNoNode : it->second;
   }
 
-  /// PeerId occupying `slot`; kInvalidPeer for a free slot.
+  /// PeerId occupying `slot`; kInvalidPeer past the end of the table.
   PeerId peer(NodeIndex slot) const {
     return slot < peer_of_.size() ? peer_of_[slot] : kInvalidPeer;
   }
 
   bool contains(PeerId id) const { return index_of_.contains(id); }
 
-  /// Number of live (interned, not erased) peers.
-  std::size_t size() const { return index_of_.size(); }
+  /// Number of interned peers, which is also the size of the dense slot
+  /// table: vertex-indexed vectors inside the graph module are sized to it.
+  std::size_t size() const { return peer_of_.size(); }
 
-  /// Size of the dense slot table (live peers + free slots). Vertex-indexed
-  /// vectors inside the graph module are sized to this.
-  std::size_t slot_count() const { return peer_of_.size(); }
-
-  /// Frees the slot of `id` for reuse. No-op for unknown ids.
-  void erase(PeerId id);
-
-  void clear();
-
-  /// All live PeerIds, ascending (deterministic across runs and standard
-  /// library implementations).
+  /// All interned PeerIds, ascending (deterministic across runs and
+  /// standard library implementations).
   std::vector<PeerId> ids_sorted() const;
 
-  /// Forward map and free list mirror each other; free slots hold
-  /// kInvalidPeer. Used by FlowGraph::check_invariants().
+  /// Forward and reverse maps mirror each other. Used by
+  /// FlowGraph::check_invariants().
   bool check_invariants() const;
 
  private:
   std::unordered_map<PeerId, NodeIndex> index_of_;
-  std::vector<PeerId> peer_of_;     // slot -> id; kInvalidPeer when free
-  std::vector<NodeIndex> free_;     // sorted descending; back() = smallest
+  std::vector<PeerId> peer_of_;  // slot -> id
 };
 
 }  // namespace bc::graph

@@ -35,28 +35,17 @@ void ReferenceFlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
   }
 }
 
-void ReferenceFlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
-  BC_ASSERT(amount >= 0);
+bool ReferenceFlowGraph::raise_capacity(PeerId from, PeerId to,
+                                        Bytes amount) {
   BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
+  if (amount <= capacity(from, to)) return false;
   touch(from);
   touch(to);
-  auto& adj = out_[from];
-  auto it = adj.find(to);
-  if (amount == 0) {
-    if (it != adj.end()) {
-      adj.erase(it);
-      in_[to].erase(from);
-      --num_edges_;
-    }
-    return;
-  }
-  if (it == adj.end()) {
-    adj.emplace(to, amount);
+  if (out_[from].insert_or_assign(to, amount).second) {
     in_[to].insert(from);
     ++num_edges_;
-  } else {
-    it->second = amount;
   }
+  return true;
 }
 
 Bytes ReferenceFlowGraph::capacity(PeerId from, PeerId to) const {
@@ -109,28 +98,6 @@ Bytes ReferenceFlowGraph::total_capacity() const {
     }
   }
   return total;
-}
-
-void ReferenceFlowGraph::remove_node(PeerId node) {
-  auto it = out_.find(node);
-  if (it == out_.end()) return;
-  for (const auto& [to, _] : it->second) {
-    in_[to].erase(node);
-    --num_edges_;
-  }
-  // bc-analyze: allow(D1) -- per-edge erases touch disjoint entries; final state is order-independent
-  for (PeerId from : in_[node]) {
-    out_[from].erase(node);
-    --num_edges_;
-  }
-  out_.erase(node);
-  in_.erase(node);
-}
-
-void ReferenceFlowGraph::clear() {
-  out_.clear();
-  in_.clear();
-  num_edges_ = 0;
 }
 
 bool ReferenceFlowGraph::check_invariants() const {

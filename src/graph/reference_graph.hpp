@@ -5,9 +5,9 @@
 // on top of it. It is retained verbatim-in-spirit as an independent oracle:
 // the differential test suite (tests/graph/differential_test.cpp) drives
 // the dense FlowGraph and this ReferenceFlowGraph through identical
-// randomized operation sequences and cross-checks every query and all
-// three maxflow variants. It also backs the dense-vs-hash comparison in
-// bench/graph_core.cpp.
+// randomized add/raise sequences and cross-checks every query and all
+// three maxflow variants. Like FlowGraph it only grows. It also backs the
+// dense-vs-hash comparison in bench/graph_core.cpp.
 //
 // Not for production use: the hash layout is slower on the two-hop hot path
 // and its iteration order is only made deterministic by per-call sorting.
@@ -31,8 +31,9 @@ class ReferenceFlowGraph {
   /// the nodes (but not the edge).
   void add_capacity(PeerId from, PeerId to, Bytes amount);
 
-  /// Replaces the capacity of edge (from, to). A value of 0 removes the edge.
-  void set_capacity(PeerId from, PeerId to, Bytes amount);
+  /// Sets the capacity of edge (from, to) to max(capacity, amount) and
+  /// returns whether it rose. Only a raise creates the nodes and the edge.
+  bool raise_capacity(PeerId from, PeerId to, Bytes amount);
 
   /// Capacity of (from, to); 0 if the edge or either node is absent.
   Bytes capacity(PeerId from, PeerId to) const;
@@ -54,11 +55,6 @@ class ReferenceFlowGraph {
 
   Bytes out_capacity(PeerId node) const;
   Bytes in_capacity(PeerId node) const;
-
-  /// Removes a node and all incident edges. No-op for unknown node.
-  void remove_node(PeerId node);
-
-  void clear();
 
   /// Internal consistency check (out/in indices mirror each other, all
   /// capacities positive).

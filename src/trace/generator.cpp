@@ -52,7 +52,7 @@ Trace generate(const GeneratorConfig& cfg) {
     f.piece_size = std::min(cfg.piece_size, f.size);
     // Round size up to a whole number of pieces; keeps piece accounting
     // trivial everywhere downstream.
-    f.size = static_cast<Bytes>(f.num_pieces()) * f.piece_size;
+    f.size = f.num_pieces() * f.piece_size;
     tr.files.push_back(f);
   }
 

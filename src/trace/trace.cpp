@@ -36,6 +36,7 @@ std::string Trace::validate() const {
   if (!std::isfinite(duration) || duration <= 0.0) {
     return "duration must be positive and finite";
   }
+  if (duration > kMaxDuration) return "duration longer than one year";
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto& f = files[i];
     if (f.id != static_cast<SwarmId>(i)) {
@@ -44,6 +45,10 @@ std::string Trace::validate() const {
     }
     if (f.size <= 0 || f.piece_size <= 0 || f.piece_size > f.size) {
       err << "file " << i << ": invalid sizes";
+      return err.str();
+    }
+    if (f.num_pieces() > kMaxPieces) {
+      err << "file " << i << ": more than " << kMaxPieces << " pieces";
       return err.str();
     }
   }

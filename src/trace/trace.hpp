@@ -8,6 +8,7 @@
 // traces so a real scrape could be dropped in unchanged.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,15 +18,24 @@
 
 namespace bc::trace {
 
+/// Bounds Trace::validate() puts on what a trace makes the simulator
+/// allocate: its time series grow with the duration, a swarm's piece tables
+/// with the piece count. Both are generous: every shipped workload runs at
+/// most a week, and the generator's largest file has 1,536 pieces.
+inline constexpr Seconds kMaxDuration = 365.0 * kDay;
+inline constexpr std::int64_t kMaxPieces = std::int64_t{1} << 20;
+
 /// One shared file (one swarm).
 struct FileMeta {
   SwarmId id = kInvalidSwarm;
   Bytes size = 0;
   Bytes piece_size = 0;
 
-  int num_pieces() const {
+  /// Number of pieces, the last one possibly short: size / piece_size
+  /// rounded up, without overflowing size + piece_size - 1.
+  std::int64_t num_pieces() const {
     BC_ASSERT(piece_size > 0);
-    return static_cast<int>((size + piece_size - 1) / piece_size);
+    return size / piece_size + (size % piece_size == 0 ? 0 : 1);
   }
   friend bool operator==(const FileMeta&, const FileMeta&) = default;
 };
@@ -68,8 +78,9 @@ struct Trace {
   std::vector<SwarmRequest> requests; // sorted by time
 
   /// Structural validation (dense ids, finite times, sorted sessions and
-  /// requests inside the duration); returns an empty string when valid,
-  /// otherwise a human-readable description of the first problem found.
+  /// requests inside the duration, the kMaxDuration and kMaxPieces bounds);
+  /// returns an empty string when valid, otherwise a human-readable
+  /// description of the first problem found.
   std::string validate() const;
 };
 

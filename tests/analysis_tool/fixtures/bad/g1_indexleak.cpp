@@ -1,6 +1,6 @@
-// G1 fixture: dense graph internals leaking outside src/graph/. Slot
-// numbers are recycled on remove_node(), so storing or arithmetic-ing them
-// here silently re-targets a different peer after churn.
+// G1 fixture: dense graph internals leaking outside src/graph/. A slot is
+// one graph's first-touch order, so storing or arithmetic-ing it here
+// silently names a different peer in any other graph.
 #include "graph/peer_index.hpp"
 
 namespace bc {

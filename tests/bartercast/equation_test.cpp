@@ -21,7 +21,6 @@ double expected(double flow_units) {
 
 TEST(Equation1, HandComputedTable) {
   const auto engine = engine_with_unit(kGiB);
-  graph::FlowGraph g;
 
   // Tabulate (received, sent) -> expected value in 1 GiB units.
   struct Case {
@@ -35,13 +34,13 @@ TEST(Equation1, HandComputedTable) {
   };
   PeerId j = 1;
   for (const Case& c : cases) {
-    g.clear();
+    graph::FlowGraph g;
     // Keep both endpoints known. The helper edges point away from the
     // pair: 0 -> 2 -> 1 would add a 1-byte two-hop path from 0 to 1.
     g.add_capacity(2, 0, 1);
     g.add_capacity(2, 1, 1);
-    if (c.received > 0) g.set_capacity(1, 0, c.received);
-    if (c.sent > 0) g.set_capacity(0, 1, c.sent);
+    g.add_capacity(1, 0, c.received);
+    g.add_capacity(0, 1, c.sent);
     const double units =
         static_cast<double>(c.received - c.sent) / static_cast<double>(kGiB);
     EXPECT_NEAR(engine.reputation(g, 0, j), expected(units), 1e-12)

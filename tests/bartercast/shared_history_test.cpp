@@ -68,8 +68,8 @@ TEST(SharedHistory, AcceptsRecordWhereSenderIsOther) {
 }
 
 TEST(SharedHistory, DropsRecordsNamingInvalidPeer) {
-  // kInvalidPeer names no one and marks free graph slots: a record naming
-  // it must not create a graph node, whichever side it is on.
+  // kInvalidPeer names no one and is a sentinel inside the graph core: a
+  // record naming it must not create a graph node, whichever side it is on.
   SharedHistory sh(0);
   const auto stats = sh.apply_message(message_from(
       7, {{kInvalidPeer, 7, 100, 50}, {7, kInvalidPeer, 100, 50}}));

@@ -88,7 +88,7 @@ TEST(CheckFlowGraph, CleanGraphPasses) {
   g.add_capacity(0, 1, 100);
   g.add_capacity(1, 2, 50);
   g.add_capacity(2, 0, 25);
-  g.remove_node(2);
+  g.raise_capacity(1, 2, 80);
   Report r;
   check_flow_graph(g, r);
   EXPECT_TRUE(r.ok()) << r.to_string();

@@ -3,7 +3,9 @@
 
 A bad trace size or ban threshold gets the usage and exit 2; a seeding
 period the scenario rejects, a --save-trace path that cannot be written, or
-a --trace file with a non-finite time gets a message and exit 1.
+a --trace file with a non-finite time gets a message and exit 1. So does a
+trace, generated or read, that would make the simulator allocate without
+bound: longer than a year, or a file of more than 2^20 pieces.
 
 Usage: run_scenario_bad_sizes.py <run_scenario binary>
 
@@ -28,6 +30,7 @@ CASES = [
     (["--peers=abc"], 2),
     (["--days=nan"], 2),
     (["--days=inf"], 2),
+    (["--days=1e9"], 2),
     (["--policy=ban", "--delta=0.5", *SMALL], 2),
     (["--policy=ban", "--delta=nan", *SMALL], 2),
     (["--seed-hours=nan", *SMALL], 1),
@@ -35,7 +38,9 @@ CASES = [
 ]
 
 # Trace files the reader parses but must reject: std::stod accepts "nan"
-# and "inf", and NaN passes every range comparison.
+# and "inf", and NaN passes every range comparison. The last three used to
+# abort the simulator: a series bin count past size_t, a series past
+# memory, a piece table of 10^18 entries.
 FILE_AND_PEER = "#file,0,1048576,16384\n#peer,0,1\n"
 BAD_TRACES = {
     "nan_duration.csv": "#trace,nan\n" + FILE_AND_PEER,
@@ -43,6 +48,9 @@ BAD_TRACES = {
     "nan_session.csv": "#trace,1000\n" + FILE_AND_PEER + "#session,0,0,nan\n",
     "nan_request.csv": ("#trace,1000\n" + FILE_AND_PEER +
                         "#session,0,0,900\n#request,0,0,nan\n"),
+    "duration_1e300.csv": "#trace,1e300\n" + FILE_AND_PEER,
+    "duration_1e12.csv": "#trace,1e12\n" + FILE_AND_PEER,
+    "pieces_1e18.csv": "#trace,1000\n#file,0,1000000000000000000,1\n#peer,0,1\n",
 }
 TIMEOUT_S = 20
 

@@ -2,7 +2,8 @@
 """swarm_simulation must reject bad flags with a message and exit 1.
 
 A flight-recorder ring without --trace-out has nowhere to be dumped; a
-negative ring size is no size. Both are refused before the simulation runs.
+negative ring size is no size; a metrics stream that cannot be opened would
+be written nowhere. All are refused before the simulation runs.
 
 Usage: swarm_simulation_bad_flags.py <swarm_simulation binary>
 """
@@ -13,6 +14,7 @@ import sys
 CASES = [
     ["--trace-ring=8"],
     ["--trace-ring=-1"],
+    ["--metrics-stream=/nonexistent/s.ndjson"],
 ]
 TIMEOUT_S = 60
 

@@ -1,8 +1,9 @@
 // Differential suite: the dense FlowGraph/maxflow stack vs. the retained
 // hash-map ReferenceFlowGraph oracle (reference_graph.hpp). Both sides are
-// driven through identical randomized operation sequences — including node
-// churn — and every query surface plus all three maxflow variants must
-// agree at every checkpoint. Runs under the asan-ubsan preset in CI.
+// driven through identical randomized sequences of the two mutations a
+// grow-only graph has (add_capacity and the max-merge raise_capacity), and
+// every query surface plus all three maxflow variants must agree at every
+// checkpoint. Runs under the asan-ubsan preset in CI.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -61,16 +62,18 @@ TEST_P(DifferentialRandom, RandomOpsAgreeEverywhere) {
     const PeerId u = static_cast<PeerId>(rng.uniform_int(0, kPeers - 1));
     PeerId v = static_cast<PeerId>(rng.uniform_int(0, kPeers - 2));
     if (v >= u) ++v;  // uniform over v != u
-    const Bytes amount = rng.uniform_int(0, 1000);
-    if (op < 6) {  // mostly accumulating transfers, like gossip merges
+    if (op < 6) {  // accumulating transfers, like an owner's own edges
+      const Bytes amount = rng.uniform_int(0, 1000);
       dense.add_capacity(u, v, amount);
       ref.add_capacity(u, v, amount);
-    } else if (op < 9) {
-      dense.set_capacity(u, v, amount);
-      ref.set_capacity(u, v, amount);
-    } else {  // churn: peers leave and may come back later
-      dense.remove_node(u);
-      ref.remove_node(u);
+    } else {  // gossip merges: op 6 lands below c(u, v), 7 at it, 8-9 above
+      const Bytes current = dense.capacity(u, v);
+      Bytes amount = current;
+      if (op == 6) amount -= rng.uniform_int(1, 500);
+      if (op >= 8) amount += rng.uniform_int(1, 1000);
+      const bool raised = dense.raise_capacity(u, v, amount);
+      EXPECT_EQ(raised, ref.raise_capacity(u, v, amount));
+      EXPECT_EQ(raised, amount > current);
     }
     if (step % 40 == 39) expect_same_state(dense, ref);
   }
@@ -87,8 +90,8 @@ TEST_P(DifferentialRandom, FlowsAgreeOnDenserGraphs) {
   Rng rng(GetParam() ^ 0xdecafbadULL);
   FlowGraph dense;
   ReferenceFlowGraph ref;
-  // No churn here: build a denser web so augmenting paths get long enough
-  // to exercise the reverse-residual bookkeeping in all variants.
+  // Adds only: build a denser web so augmenting paths get long enough to
+  // exercise the reverse-residual bookkeeping in all variants.
   for (int i = 0; i < 80; ++i) {
     const PeerId u = static_cast<PeerId>(rng.uniform_int(0, kPeers - 1));
     PeerId v = static_cast<PeerId>(rng.uniform_int(0, kPeers - 2));

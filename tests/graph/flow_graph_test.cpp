@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 namespace bc::graph {
 namespace {
@@ -35,28 +36,39 @@ TEST(FlowGraph, ZeroAddCreatesNodesNotEdges) {
 }
 
 TEST(FlowGraph, SetCapacityReplaces) {
+  // raise_capacity is a max-merge: a lower or equal amount changes
+  // nothing, a higher one replaces the capacity everywhere it is stored.
   FlowGraph g;
   g.add_capacity(1, 2, 100);
-  g.set_capacity(1, 2, 30);
-  EXPECT_EQ(g.capacity(1, 2), 30);
-  EXPECT_EQ(g.num_edges(), 1u);
-}
+  const std::uint64_t gen = g.generation();
+  EXPECT_FALSE(g.raise_capacity(1, 2, 30));
+  EXPECT_FALSE(g.raise_capacity(1, 2, 100));
+  EXPECT_EQ(g.capacity(1, 2), 100);
+  EXPECT_EQ(g.generation(), gen);
 
-TEST(FlowGraph, SetCapacityZeroRemovesEdge) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 100);
-  g.set_capacity(1, 2, 0);
-  EXPECT_EQ(g.capacity(1, 2), 0);
-  EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_TRUE(g.in_edges(2).empty());
+  EXPECT_TRUE(g.raise_capacity(1, 2, 250));
+  EXPECT_EQ(g.capacity(1, 2), 250);  // the sidecar
+  EXPECT_EQ(g.out_edges(1)[0], (Edge{2, 250}));
+  EXPECT_EQ(g.in_edges(2)[0], (Edge{1, 250}));
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.generation(), gen);  // in place: no edge inserted
   EXPECT_TRUE(g.check_invariants());
 }
 
 TEST(FlowGraph, SetCapacityCreatesEdge) {
   FlowGraph g;
-  g.set_capacity(3, 4, 77);
+  // Nothing rises to zero: no node, no edge.
+  EXPECT_FALSE(g.raise_capacity(3, 4, 0));
+  EXPECT_FALSE(g.has_node(3));
+  EXPECT_FALSE(g.has_node(4));
+
+  EXPECT_TRUE(g.raise_capacity(3, 4, 77));
   EXPECT_EQ(g.capacity(3, 4), 77);
+  EXPECT_EQ(g.capacity(4, 3), 0);
+  EXPECT_EQ(g.num_nodes(), 2u);
   EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.in_edges(4)[0], (Edge{3, 77}));
+  EXPECT_TRUE(g.check_invariants());
 }
 
 TEST(FlowGraph, OutAndInEdgesMirror) {
@@ -92,35 +104,6 @@ TEST(FlowGraph, TotalCapacity) {
   g.add_capacity(1, 2, 10);
   g.add_capacity(2, 3, 20);
   EXPECT_EQ(g.total_capacity(), 30);
-}
-
-TEST(FlowGraph, RemoveNodeDropsIncidentEdges) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.add_capacity(2, 3, 20);
-  g.add_capacity(3, 1, 30);
-  g.remove_node(2);
-  EXPECT_FALSE(g.has_node(2));
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.capacity(3, 1), 30);
-  EXPECT_EQ(g.capacity(1, 2), 0);
-  EXPECT_TRUE(g.check_invariants());
-}
-
-TEST(FlowGraph, RemoveUnknownNodeIsNoop) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.remove_node(99);
-  EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(FlowGraph, ClearResets) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.clear();
-  EXPECT_EQ(g.num_nodes(), 0u);
-  EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_TRUE(g.check_invariants());
 }
 
 TEST(FlowGraph, NodesAreSortedRegardlessOfInsertionOrder) {
@@ -159,47 +142,10 @@ TEST(FlowGraph, EdgeSpansSortedAscending) {
   EXPECT_EQ(in[2], (Edge{8, 5}));
 }
 
-TEST(FlowGraph, ChurnAddRemoveReAddSamePeer) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.add_capacity(2, 3, 20);
-  g.add_capacity(3, 1, 30);
-  g.remove_node(2);
-  EXPECT_TRUE(g.check_invariants());
-  // Re-adding the same PeerId must behave as a fresh node: the old
-  // incident edges stay gone and the freed slot is recycled.
-  g.add_capacity(2, 1, 7);
-  EXPECT_TRUE(g.has_node(2));
-  EXPECT_EQ(g.capacity(1, 2), 0);
-  EXPECT_EQ(g.capacity(2, 3), 0);
-  EXPECT_EQ(g.capacity(2, 1), 7);
-  EXPECT_EQ(g.nodes(), (std::vector<PeerId>{1, 2, 3}));
-  EXPECT_EQ(g.index().slot_count(), 3u);
-  EXPECT_TRUE(g.check_invariants());
-  // Further churn keeps nodes() sorted and the invariants intact.
-  g.remove_node(2);
-  g.remove_node(1);
-  g.add_capacity(5, 3, 1);
-  EXPECT_EQ(g.nodes(), (std::vector<PeerId>{3, 5}));
-  EXPECT_TRUE(g.check_invariants());
-}
-
-TEST(FlowGraph, ClearResetsIndexForReuse) {
-  FlowGraph g;
-  g.add_capacity(4, 2, 10);
-  g.add_capacity(2, 9, 5);
-  g.clear();
-  EXPECT_EQ(g.index().slot_count(), 0u);
-  g.add_capacity(9, 4, 3);
-  EXPECT_EQ(g.nodes(), (std::vector<PeerId>{4, 9}));
-  EXPECT_EQ(g.capacity(4, 2), 0);
-  EXPECT_EQ(g.capacity(9, 4), 3);
-  EXPECT_TRUE(g.check_invariants());
-}
-
 TEST(FlowGraphDeathTest, SelfEdgeRejected) {
   FlowGraph g;
   EXPECT_DEATH(g.add_capacity(1, 1, 10), "self-edges");
+  EXPECT_DEATH(g.raise_capacity(1, 1, 10), "self-edges");
 }
 
 TEST(FlowGraphDeathTest, NegativeCapacityRejected) {

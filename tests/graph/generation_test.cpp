@@ -13,27 +13,20 @@ namespace bc::graph {
 namespace {
 
 TEST(GenerationTest, BumpsOnEveryStructuralMutation) {
+  // The graph only grows, so an edge insert is the one structural
+  // mutation, through either add_capacity or raise_capacity.
   FlowGraph g;
   const std::uint64_t start = g.generation();
-  g.add_capacity(1, 2, 10);  // edge insert
+  g.add_capacity(1, 2, 10);  // add_capacity insert path
   EXPECT_GT(g.generation(), start);
 
-  const std::uint64_t after_insert = g.generation();
-  g.set_capacity(1, 2, 0);  // edge erase
-  EXPECT_GT(g.generation(), after_insert);
+  const std::uint64_t after_add = g.generation();
+  g.raise_capacity(2, 1, 3);  // raise_capacity insert path
+  EXPECT_GT(g.generation(), after_add);
 
-  const std::uint64_t after_erase = g.generation();
-  g.set_capacity(1, 2, 3);  // set_capacity insert path
-  EXPECT_GT(g.generation(), after_erase);
-
-  const std::uint64_t after_set = g.generation();
-  g.add_capacity(5, 6, 1);
-  g.remove_node(5);
-  EXPECT_GT(g.generation(), after_set);
-
-  const std::uint64_t before_clear = g.generation();
-  g.clear();
-  EXPECT_GT(g.generation(), before_clear);
+  const std::uint64_t after_raise = g.generation();
+  g.raise_capacity(5, 6, 1);  // insert with two new nodes
+  EXPECT_GT(g.generation(), after_raise);
 }
 
 TEST(GenerationTest, ContentUpdatesDoNotBump) {
@@ -45,7 +38,9 @@ TEST(GenerationTest, ContentUpdatesDoNotBump) {
   const std::uint64_t gen = g.generation();
   g.add_capacity(1, 2, 5);  // saturating in-place update
   EXPECT_EQ(g.generation(), gen);
-  g.set_capacity(1, 2, 7);  // in-place replace
+  g.raise_capacity(1, 2, 70);  // in-place raise
+  EXPECT_EQ(g.generation(), gen);
+  g.raise_capacity(1, 2, 7);  // no raise
   EXPECT_EQ(g.generation(), gen);
   g.add_capacity(3, 4, 0);  // node creation without an edge
   EXPECT_EQ(g.generation(), gen);

@@ -65,7 +65,7 @@ TEST_P(MaxflowAlgebra, GrowingAnEdgeGrowsTwoHopMonotonically) {
     auto b = static_cast<PeerId>(rng.index(8));
     if (a == b) b = (b + 1) % 8;
     const Bytes current = g.capacity(a, b);
-    g.set_capacity(a, b, current + rng.uniform_int(1, 20));
+    g.raise_capacity(a, b, current + rng.uniform_int(1, 20));
     const Bytes now = max_flow_two_hop(g, 2, 5);
     EXPECT_GE(now, prev);
     prev = now;

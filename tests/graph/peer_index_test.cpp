@@ -13,7 +13,6 @@ TEST(PeerIndex, InternAssignsDenseSlots) {
   // Re-interning is idempotent.
   EXPECT_EQ(idx.intern(50), 1u);
   EXPECT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx.slot_count(), 3u);
   EXPECT_TRUE(idx.check_invariants());
 }
 
@@ -31,62 +30,12 @@ TEST(PeerIndex, FindAndPeerRoundTrip) {
   EXPECT_FALSE(idx.contains(99));
 }
 
-TEST(PeerIndex, EraseFreesSlotAndReusesSmallestFirst) {
-  PeerIndex idx;
-  idx.intern(10);  // slot 0
-  idx.intern(20);  // slot 1
-  idx.intern(30);  // slot 2
-  idx.erase(20);
-  idx.erase(10);
-  EXPECT_EQ(idx.size(), 1u);
-  EXPECT_EQ(idx.slot_count(), 3u);  // slots are retained, not compacted
-  EXPECT_EQ(idx.find(10), kNoNode);
-  EXPECT_EQ(idx.peer(0), kInvalidPeer);
-  EXPECT_TRUE(idx.check_invariants());
-  // Smallest free slot is recycled first, deterministically.
-  EXPECT_EQ(idx.intern(40), 0u);
-  EXPECT_EQ(idx.intern(50), 1u);
-  EXPECT_EQ(idx.intern(60), 3u);  // free list exhausted: table grows
-  EXPECT_TRUE(idx.check_invariants());
-}
-
-TEST(PeerIndex, EraseUnknownIsNoop) {
-  PeerIndex idx;
-  idx.intern(1);
-  idx.erase(42);
-  EXPECT_EQ(idx.size(), 1u);
-  EXPECT_TRUE(idx.check_invariants());
-}
-
-TEST(PeerIndex, ReinternAfterEraseMayChangeSlot) {
-  PeerIndex idx;
-  idx.intern(10);  // slot 0
-  idx.intern(20);  // slot 1
-  idx.erase(10);
-  idx.intern(30);  // recycles slot 0
-  EXPECT_EQ(idx.intern(10), 2u);  // 10 returns as a fresh peer
-  EXPECT_TRUE(idx.check_invariants());
-}
-
 TEST(PeerIndex, IdsSortedAscending) {
   PeerIndex idx;
   idx.intern(9);
   idx.intern(2);
   idx.intern(5);
-  idx.erase(5);
-  EXPECT_EQ(idx.ids_sorted(), (std::vector<PeerId>{2, 9}));
-}
-
-TEST(PeerIndex, ClearResets) {
-  PeerIndex idx;
-  idx.intern(1);
-  idx.intern(2);
-  idx.erase(1);
-  idx.clear();
-  EXPECT_EQ(idx.size(), 0u);
-  EXPECT_EQ(idx.slot_count(), 0u);
-  EXPECT_EQ(idx.intern(5), 0u);
-  EXPECT_TRUE(idx.check_invariants());
+  EXPECT_EQ(idx.ids_sorted(), (std::vector<PeerId>{2, 5, 9}));
 }
 
 }  // namespace

@@ -113,6 +113,25 @@ TEST(TraceCsv, RejectsNonFiniteTimes) {
   }
 }
 
+TEST(TraceCsv, RejectsTracesOverTheAllocationBounds) {
+  // Each of these used to load and then abort the simulator: a series
+  // with more bins than fit a size_t or memory, a piece table of 10^18.
+  const std::string peer = "#peer,0,1\n";
+  const std::string file = "#file,0,1048576,16384\n";
+  const std::pair<std::string, const char*> cases[] = {
+      {"#trace,1e300\n" + file + peer, "longer than one year"},
+      {"#trace,1e12\n" + file + peer, "longer than one year"},
+      {"#trace,1000\n#file,0,1000000000000000000,1\n" + peer,
+       "more than 1048576 pieces"},
+  };
+  for (const auto& [text, why] : cases) {
+    std::string error;
+    EXPECT_FALSE(from_csv(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("invalid trace"), std::string::npos) << error;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  }
+}
+
 TEST(TraceCsv, EmptyInputIsInvalid) {
   // An empty stream has duration 0 -> fails validation.
   EXPECT_FALSE(from_csv("").has_value());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace bc::trace {
 namespace {
 
@@ -119,11 +122,43 @@ TEST(TraceValidate, RejectsDuplicateRequests) {
   EXPECT_NE(t.validate(), "");
 }
 
+TEST(TraceValidate, RejectsDurationOverOneYear) {
+  Trace t = minimal_valid();
+  t.duration = kMaxDuration;
+  EXPECT_EQ(t.validate(), "");
+  // Each of these used to pass and make the simulator size its time
+  // series past what fits memory, or past what fits a size_t.
+  for (const Seconds d : {kMaxDuration + 1.0, 1e12, 1e300}) {
+    t.duration = d;
+    EXPECT_EQ(t.validate(), "duration longer than one year") << d;
+  }
+}
+
+TEST(TraceValidate, RejectsMoreThanMaxPieces) {
+  Trace t = minimal_valid();
+  t.files[0] = {0, kMaxPieces * 100, 100};
+  EXPECT_EQ(t.validate(), "");
+  t.files[0].size += 1;  // one more, short piece
+  EXPECT_NE(t.validate().find("pieces"), std::string::npos);
+  t.files[0] = {0, 1'000'000'000'000'000'000, 1};
+  EXPECT_NE(t.validate().find("pieces"), std::string::npos);
+}
+
 TEST(FileMeta, NumPiecesRoundsUp) {
   FileMeta f{0, 1001, 100};
   EXPECT_EQ(f.num_pieces(), 11);
   FileMeta g{0, 1000, 100};
   EXPECT_EQ(g.num_pieces(), 10);
+}
+
+TEST(FileMeta, NumPiecesDoesNotOverflow) {
+  // size + piece_size - 1 overflows int64 for these; the count does not.
+  constexpr Bytes kMax = std::numeric_limits<Bytes>::max();
+  EXPECT_EQ((FileMeta{0, kMax, Bytes{1} << 62}).num_pieces(), 2);
+  EXPECT_EQ((FileMeta{0, kMax, kMax}).num_pieces(), 1);
+  EXPECT_EQ((FileMeta{0, kMax, 1}).num_pieces(), kMax);
+  EXPECT_EQ((FileMeta{0, 1'000'000'000'000'000'000, 1}).num_pieces(),
+            1'000'000'000'000'000'000);
 }
 
 }  // namespace
