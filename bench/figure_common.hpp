@@ -94,6 +94,13 @@ inline bc::community::ScenarioConfig paper_scenario(std::uint64_t seed) {
   bc::community::ScenarioConfig cfg;
   cfg.seed = seed;
   if (const char* path = std::getenv("BC_METRICS_STREAM"); path != nullptr) {
+    // The simulator only warns when it cannot open the stream; refuse the
+    // path here, before a whole run writes nothing to it. The simulator
+    // truncates the probe's empty file when it opens the stream.
+    if (!bc::obs::write_text_file(path, "")) {
+      std::fprintf(stderr, "error: could not write %s\n", path);
+      std::exit(1);
+    }
     cfg.metrics_stream_path = path;
   }
   return cfg;

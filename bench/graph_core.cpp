@@ -57,9 +57,8 @@ struct OpRow {
 /// `G` only needs the shared public PeerId API, so the same template body
 /// drives FlowGraph and ReferenceFlowGraph; `flow` is the matching two-hop
 /// entry point and `scan` sums one node's out-edge capacities (the dense
-/// side iterates through graph::EdgeView, so this row doubles as the
-/// release-build proof that the generation guard compiles away — EdgeView
-/// is a bare std::span under NDEBUG).
+/// side iterates through graph::EdgeView, which reads each capacity from
+/// the graph's table; under NDEBUG its generation guard compiles away).
 template <typename G, typename TwoHopFn, typename ScanFn>
 std::vector<double> run_ops(G& g, TwoHopFn flow, ScanFn scan) {
   std::vector<double> ns;

@@ -23,11 +23,19 @@ using namespace bc;
 
 namespace {
 
+// Size bounds for a generated trace. Peak memory grows as peers^2: the
+// reputation probe and the final tally evaluate every (evaluator, subject)
+// pair through a per-pair cache entry, about 0.9 GB at 4,096 peers and
+// 15 GB at 16,384. 65,536 swarms run in about a second; 2^20 swarms need
+// more than 3 GB.
+constexpr std::int64_t kMaxPeers = 4096;
+constexpr std::int64_t kMaxSwarms = 65536;
+
 const std::map<std::string, std::string> kFlags = {
     {"help", "print this help"},
     {"seed", "random seed (default 1)"},
-    {"peers", "number of trace peers (default 100)"},
-    {"swarms", "number of swarms (default 10)"},
+    {"peers", "number of trace peers, at most 4096 (default 100)"},
+    {"swarms", "number of swarms, at most 65536 (default 10)"},
     {"days", "trace duration in days, at most 365 (default 7)"},
     {"trace", "load a trace CSV instead of generating one"},
     {"save-trace", "write the generated trace to this CSV path"},
@@ -98,10 +106,11 @@ int main(int argc, char** argv) {
   // Checked before the size casts below, which would turn a negative count
   // into about 2^64, and before the generator's own assertions; a trace
   // longer than trace::kMaxDuration would fail validation.
-  if (peers < 1 || swarms < 1 || !std::isfinite(trace_days) ||
-      trace_days <= 0.0 || trace_days * kDay > trace::kMaxDuration) {
-    std::fputs("--peers and --swarms must be at least 1, and --days finite, "
-               "positive and at most 365\n",
+  if (peers < 1 || peers > kMaxPeers || swarms < 1 || swarms > kMaxSwarms ||
+      !std::isfinite(trace_days) || trace_days <= 0.0 ||
+      trace_days * kDay > trace::kMaxDuration) {
+    std::fputs("--peers must be in [1, 4096], --swarms in [1, 65536], and "
+               "--days finite, positive and at most 365\n",
                stderr);
     return fail_usage(argv[0]);
   }

@@ -122,7 +122,7 @@ ORDERED_CONTAINER_RE = re.compile(
     r"\bstd::(?:vector|map|set|multimap|multiset|deque|list|array|span)\s*<"
 )
 #: Non-templated project types with deterministic iteration order:
-#: graph::EdgeView wraps a span over the sorted adjacency arrays.
+#: graph::EdgeView wraps a span over a node's sorted neighbour ids.
 ORDERED_PLAIN_RE = re.compile(r"\b(?:graph\s*::\s*)?(EdgeView)\b")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 SUPPRESS_RE = re.compile(

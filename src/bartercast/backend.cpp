@@ -7,6 +7,7 @@
 
 #include "obs/profile.hpp"
 #include "util/assert.hpp"
+#include "util/checked.hpp"
 
 namespace bc::bartercast {
 
@@ -48,23 +49,52 @@ std::unordered_map<PeerId, double> DifferentialGossipBackend::scores(
   const std::vector<PeerId> nodes = graph.nodes();  // ascending
   const std::size_t n = nodes.size();
 
+  // One pass over the graph builds each node's acquaintances, (slot,
+  // weight) for its out-edges ascending and then its in-edges ascending:
+  // the order every round adds them in, so the FP sums are reproducible
+  // bit-for-bit. Both directions count: peers we served and peers that
+  // served us are equally acquaintances whose opinion we average in,
+  // weighted by the transfer volume backing the acquaintance.
+  struct Acquaintance {
+    std::size_t slot;
+    double weight;
+  };
+  std::vector<Acquaintance> acquaintances;
+  acquaintances.reserve(2 * graph.num_edges());
+  // Node i's acquaintances are [first[i], first[i + 1]).
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<double> weight_sum(n, 0.0);
+  auto slot_of = [&nodes](PeerId peer) {
+    const auto it = std::lower_bound(nodes.begin(), nodes.end(), peer);
+    BC_DASSERT(it != nodes.end() && *it == peer);
+    return static_cast<std::size_t>(it - nodes.begin());
+  };
+
   // Contribution prior: arctan-scaled net of bytes served minus bytes
-  // consumed, as recorded in this subjective graph. Same scale as Eq. 1,
-  // so a clear sharer starts positive and a clear freerider negative.
+  // consumed, as recorded in this subjective graph (the totals saturate as
+  // FlowGraph::out_capacity/in_capacity do). Same scale as Eq. 1, so a
+  // clear sharer starts positive and a clear freerider negative.
   const double unit = static_cast<double>(kPriorUnit);
   std::vector<double> prior(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
+    first[i] = acquaintances.size();
+    Bytes served = 0;
+    Bytes consumed = 0;
+    for (const graph::Edge& e : graph.out_edges(nodes[i])) {
+      served = util::saturating_add(served, e.cap);
+      acquaintances.push_back({slot_of(e.peer), static_cast<double>(e.cap)});
+      weight_sum[i] += acquaintances.back().weight;
+    }
+    for (const graph::Edge& e : graph.in_edges(nodes[i])) {
+      consumed = util::saturating_add(consumed, e.cap);
+      acquaintances.push_back({slot_of(e.peer), static_cast<double>(e.cap)});
+      weight_sum[i] += acquaintances.back().weight;
+    }
     const double net =
-        static_cast<double>(graph.out_capacity(nodes[i])) -
-        static_cast<double>(graph.in_capacity(nodes[i]));
+        static_cast<double>(served) - static_cast<double>(consumed);
     prior[i] = std::atan(net / unit) / (M_PI / 2.0);
   }
-
-  // Dense PeerId -> slot map for the inner loops (PeerIds in a community
-  // are small and contiguous; the map is only built once per sweep).
-  std::unordered_map<PeerId, std::size_t> slot;
-  slot.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) slot.emplace(nodes[i], i);
+  first[n] = acquaintances.size();
 
   // Jacobi iteration: every round reads `current` and writes `next`, so
   // the result is independent of node order, and the in-order loops make
@@ -74,27 +104,12 @@ std::unordered_map<PeerId, double> DifferentialGossipBackend::scores(
   for (int round = 0; round < kGossipRounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
       double weighted = 0.0;
-      double weight_sum = 0.0;
-      // Both directions: peers we served and peers that served us are
-      // equally acquaintances whose opinion we average in, weighted by
-      // the transfer volume backing the acquaintance.
-      for (const graph::Edge& e : graph.out_edges(nodes[i])) {
-        const double w = static_cast<double>(e.cap);
-        const auto it = slot.find(e.peer);
-        BC_DASSERT(it != slot.end());
-        weighted += w * current[it->second];
-        weight_sum += w;
+      for (std::size_t k = first[i]; k < first[i + 1]; ++k) {
+        weighted += acquaintances[k].weight * current[acquaintances[k].slot];
       }
-      for (const graph::Edge& e : graph.in_edges(nodes[i])) {
-        const double w = static_cast<double>(e.cap);
-        const auto it = slot.find(e.peer);
-        BC_DASSERT(it != slot.end());
-        weighted += w * current[it->second];
-        weight_sum += w;
-      }
-      next[i] = weight_sum > 0.0
+      next[i] = weight_sum[i] > 0.0
                     ? kSelfWeight * prior[i] +
-                          (1.0 - kSelfWeight) * weighted / weight_sum
+                          (1.0 - kSelfWeight) * weighted / weight_sum[i]
                     : prior[i];
     }
     current.swap(next);

@@ -83,7 +83,7 @@ std::unique_ptr<Node> load_node(std::istream& is, const NodeConfig& config,
   // Ids come from an untrusted file as int64; anything outside PeerId's
   // range would truncate in the cast below, and kInvalidPeer names no one
   // and must never become a graph node (the graph core uses it as a
-  // sentinel, e.g. packed twice as the capacity sidecar's empty-cell key),
+  // sentinel, e.g. the free-cell key of its flat tables),
   // so such records are rejected.
   constexpr std::int64_t kMaxId = static_cast<std::int64_t>(kInvalidPeer) - 1;
 

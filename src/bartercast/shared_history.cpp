@@ -11,13 +11,9 @@ void SharedHistory::mark_owner_edge(PeerId remote) {
   // two-hop reputation of remote itself and of any current neighbour of
   // remote (through the shared-neighbour term with v = remote). Subjects
   // that become neighbours of remote later are marked by that mutation.
-  last_change_[remote] = version_;
-  for (const graph::Edge& e : graph_.out_edges(remote)) {
-    last_change_[e.peer] = version_;
-  }
-  for (const graph::Edge& e : graph_.in_edges(remote)) {
-    last_change_[e.peer] = version_;
-  }
+  mark(remote);
+  for (PeerId v : graph_.out_edges(remote).peers()) mark(v);
+  for (PeerId u : graph_.in_edges(remote).peers()) mark(u);
 }
 
 void SharedHistory::record_local_upload(PeerId remote, Bytes amount) {
@@ -45,9 +41,9 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
     // Rule 2: a record must involve its sender. kInvalidPeer names no
     // one, so a record naming it reports on no real pair and is dropped
     // with the third-party records. It must never become a graph node
-    // either: the graph core uses it as a sentinel (the capacity sidecar's
-    // empty-cell key packs it twice; Edmonds-Karp marks undiscovered nodes
-    // with it).
+    // either: the graph core uses it as a sentinel (the free-cell key of
+    // its flat tables, packed twice in the capacity table's; Edmonds-Karp
+    // marks undiscovered nodes with it).
     if ((r.subject != message.sender && r.other != message.sender) ||
         r.subject == kInvalidPeer || r.other == kInvalidPeer) {
       ++stats.dropped_third_party;
@@ -72,8 +68,8 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
       // A remote edge (subject, other) is incident to exactly those two
       // peers, so they are the only subjects whose two-hop reputation
       // (from the owner's viewpoint) it can affect.
-      last_change_[r.subject] = version_;
-      last_change_[r.other] = version_;
+      mark(r.subject);
+      mark(r.other);
     }
     ++stats.applied;
   }

@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "bartercast/message.hpp"
 #include "graph/flow_graph.hpp"
+#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 #include "util/units.hpp"
 
@@ -77,11 +77,16 @@ class SharedHistory {
   /// confined to two-hop paths; longer-path ablation modes must keep using
   /// the global version().
   std::uint64_t last_change(PeerId subject) const {
-    auto it = last_change_.find(subject);
-    return it == last_change_.end() ? 0 : it->second;
+    const std::uint64_t* version = last_change_.find(subject);
+    return version == nullptr ? 0 : *version;
   }
 
  private:
+  // Marks `subject` as changed at the current version.
+  void mark(PeerId subject) {
+    *last_change_.try_emplace(subject, version_).first = version_;
+  }
+
   // Marks `remote` and its current neighbourhood as changed at the current
   // version (call after the owner-incident mutation has been applied).
   void mark_owner_edge(PeerId remote);
@@ -89,7 +94,9 @@ class SharedHistory {
   PeerId owner_;
   graph::FlowGraph graph_;
   std::uint64_t version_ = 0;
-  std::unordered_map<PeerId, std::uint64_t> last_change_;
+  // Subject -> last_change(); a flat table keyed by PeerId (kInvalidPeer,
+  // its free-cell key, is never a graph node, so never a subject marked).
+  util::FlatMap<PeerId, std::uint64_t> last_change_;
 };
 
 }  // namespace bc::bartercast

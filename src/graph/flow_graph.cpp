@@ -9,115 +9,73 @@ namespace bc::graph {
 
 namespace {
 
-/// Position of `peer` in a sorted adjacency array (lower bound).
-std::vector<Edge>::iterator adj_lower_bound(std::vector<Edge>& adj,
-                                            PeerId peer) {
-  return std::lower_bound(
-      adj.begin(), adj.end(), peer,
-      [](const Edge& e, PeerId p) { return e.peer < p; });
-}
-
-std::vector<Edge>::const_iterator adj_lower_bound(
-    const std::vector<Edge>& adj, PeerId peer) {
-  return std::lower_bound(
-      adj.begin(), adj.end(), peer,
-      [](const Edge& e, PeerId p) { return e.peer < p; });
-}
-
-/// Pointer to the entry for `peer`, or nullptr if absent.
-const Edge* adj_find(const std::vector<Edge>& adj, PeerId peer) {
-  auto it = adj_lower_bound(adj, peer);
-  return it != adj.end() && it->peer == peer ? &*it : nullptr;
+/// Inserts `peer`, which is absent, into the sorted id list.
+void insert_sorted(std::vector<PeerId>& ids, PeerId peer) {
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), peer), peer);
 }
 
 }  // namespace
 
 NodeIndex FlowGraph::touch(PeerId node) {
   const NodeIndex slot = index_.intern(node);
-  if (slot >= out_.size()) {
-    out_.resize(index_.size());
-    in_.resize(index_.size());
+  if (slot >= succ_.size()) {
+    succ_.resize(index_.size());
+    pred_.resize(index_.size());
   }
   return slot;
+}
+
+void FlowGraph::insert_edge(PeerId from, PeerId to, Bytes cap) {
+  const NodeIndex fi = touch(from);
+  const NodeIndex ti = touch(to);
+  insert_sorted(succ_[fi], to);
+  insert_sorted(pred_[ti], from);
+  caps_.try_emplace(edge_key(from, to), cap);
+  ++gen_;
 }
 
 void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
   BC_ASSERT(amount >= 0);
   BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
-  const NodeIndex fi = touch(from);
-  const NodeIndex ti = touch(to);
-  if (amount == 0) return;
-  auto& adj = out_[fi];
-  auto it = adj_lower_bound(adj, to);
-  if (it != adj.end() && it->peer == to) {
+  if (amount == 0) {
+    touch(from);
+    touch(to);
+    return;
+  }
+  if (Bytes* cap = caps_.find(edge_key(from, to))) {
     // Gossiped capacities are attacker-influenced: saturate rather than
     // trust the remote ledger to stay inside int64.
-    it->cap = util::saturating_add(it->cap, amount);
-    adj_lower_bound(in_[ti], from)->cap = it->cap;
-    caps_.insert_or_assign(from, to, it->cap);
-  } else {
-    adj.insert(it, Edge{to, amount});
-    auto& mirror = in_[ti];
-    mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
-    caps_.insert_or_assign(from, to, amount);
-    ++num_edges_;
-    ++gen_;
+    *cap = util::saturating_add(*cap, amount);
+    return;
   }
+  insert_edge(from, to, amount);
 }
 
 bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
   BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
   // Every capacity is positive and an absent edge reads 0, so an amount
-  // <= 0 never raises; otherwise one sidecar probe settles the common
-  // merge check, which raises nothing.
-  if (amount <= 0 || amount <= capacity(from, to)) return false;
-  const NodeIndex fi = touch(from);
-  const NodeIndex ti = touch(to);
-  auto& adj = out_[fi];
-  auto it = adj_lower_bound(adj, to);
-  if (it != adj.end() && it->peer == to) {
-    it->cap = amount;
-    adj_lower_bound(in_[ti], from)->cap = amount;
-  } else {
-    adj.insert(it, Edge{to, amount});
-    auto& mirror = in_[ti];
-    mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
-    ++num_edges_;
-    ++gen_;
+  // <= 0 never raises; otherwise one table probe settles the common merge
+  // check, which raises nothing, and writes a raise in place.
+  if (amount <= 0) return false;
+  if (Bytes* cap = caps_.find(edge_key(from, to))) {
+    if (amount <= *cap) return false;
+    *cap = amount;
+    return true;
   }
-  caps_.insert_or_assign(from, to, amount);
+  insert_edge(from, to, amount);
   return true;
 }
 
-Bytes FlowGraph::capacity(PeerId from, PeerId to) const {
-  const Bytes* cap = caps_.find(from, to);
-  return cap == nullptr ? 0 : *cap;
-}
-
-std::span<const Edge> FlowGraph::edges_of(
-    const std::vector<std::vector<Edge>>& side, PeerId node) const {
+EdgeView FlowGraph::view(const Lists& side, PeerId node, bool out) const {
   const NodeIndex slot = index_.find(node);
-  if (slot == kNoNode) return {};
-  return side[slot];
-}
-
-EdgeView FlowGraph::out_edges(PeerId node) const {
-  const std::span<const Edge> edges = edges_of(out_, node);
+  const std::span<const PeerId> ids =
+      slot == kNoNode ? std::span<const PeerId>() : side[slot];
 #if BC_GRAPH_GENERATION_CHECKS
-  // An empty span borrows no storage, so it can never dangle — skip the
+  // An empty view borrows no storage, so it can never dangle — skip the
   // generation snapshot rather than aborting on a harmless empty().
-  return EdgeView(edges, edges.empty() ? nullptr : &gen_);
+  return EdgeView(ids, node, out, &caps_, ids.empty() ? nullptr : &gen_);
 #else
-  return EdgeView(edges);
-#endif
-}
-
-EdgeView FlowGraph::in_edges(PeerId node) const {
-  const std::span<const Edge> edges = edges_of(in_, node);
-#if BC_GRAPH_GENERATION_CHECKS
-  return EdgeView(edges, edges.empty() ? nullptr : &gen_);
-#else
-  return EdgeView(edges);
+  return EdgeView(ids, node, out, &caps_);
 #endif
 }
 
@@ -139,51 +97,49 @@ Bytes FlowGraph::in_capacity(PeerId node) const {
 
 Bytes FlowGraph::total_capacity() const {
   Bytes total = 0;
-  for (const auto& adj : out_) {
-    for (const Edge& e : adj) total = util::saturating_add(total, e.cap);
+  for (NodeIndex slot = 0; slot < succ_.size(); ++slot) {
+    const PeerId from = index_.peer(slot);
+    for (PeerId to : succ_[slot]) {
+      total = util::saturating_add(total, caps_.at(edge_key(from, to)));
+    }
   }
   return total;
 }
 
 bool FlowGraph::check_invariants() const {
   if (!index_.check_invariants()) return false;
-  if (out_.size() != in_.size()) return false;
-  if (out_.size() != index_.size()) return false;
-  auto sorted_positive = [](const std::vector<Edge>& adj) {
-    for (std::size_t i = 0; i < adj.size(); ++i) {
-      if (adj[i].cap <= 0) return false;
-      if (i > 0 && adj[i - 1].peer >= adj[i].peer) return false;
-    }
-    return true;
-  };
-  std::size_t edges = 0;
-  for (NodeIndex slot = 0; slot < out_.size(); ++slot) {
-    const PeerId id = index_.peer(slot);
-    if (!sorted_positive(out_[slot]) || !sorted_positive(in_[slot])) {
-      return false;
-    }
-    for (const Edge& e : out_[slot]) {
-      const NodeIndex to = index_.find(e.peer);
-      if (to == kNoNode || to >= in_.size()) return false;
-      const Edge* mirror = adj_find(in_[to], id);
-      if (mirror == nullptr || mirror->cap != e.cap) return false;
-      // The point-query sidecar must agree with the adjacency array.
-      const Bytes* side = caps_.find(id, e.peer);
-      if (side == nullptr || *side != e.cap) return false;
-      ++edges;
-    }
-    // Every in-edge must have a matching out-edge with the same capacity.
-    for (const Edge& e : in_[slot]) {
-      const NodeIndex from = index_.find(e.peer);
-      if (from == kNoNode || from >= out_.size()) return false;
-      const Edge* fwd = adj_find(out_[from], id);
-      if (fwd == nullptr || fwd->cap != e.cap) return false;
-    }
+  if (succ_.size() != index_.size() || pred_.size() != index_.size()) {
+    return false;
   }
-  // Size equality makes the sidecar's agreement exact: every edge was
-  // found above, so equal counts rule out stray sidecar entries.
-  if (caps_.size() != num_edges_) return false;
-  return edges == num_edges_;
+  auto sorted = [](const std::vector<PeerId>& ids) {
+    return std::adjacent_find(ids.begin(), ids.end(),
+                              [](PeerId a, PeerId b) { return a >= b; }) ==
+           ids.end();
+  };
+  auto listed = [](const std::vector<PeerId>& ids, PeerId peer) {
+    return std::binary_search(ids.begin(), ids.end(), peer);
+  };
+  std::size_t successors = 0;
+  std::size_t predecessors = 0;
+  for (NodeIndex slot = 0; slot < succ_.size(); ++slot) {
+    const PeerId id = index_.peer(slot);
+    if (!sorted(succ_[slot]) || !sorted(pred_[slot])) return false;
+    for (PeerId to : succ_[slot]) {
+      const NodeIndex ti = index_.find(to);
+      if (ti == kNoNode || ti == slot || !listed(pred_[ti], id)) return false;
+      const Bytes* cap = caps_.find(edge_key(id, to));
+      if (cap == nullptr || *cap <= 0) return false;
+    }
+    for (PeerId from : pred_[slot]) {
+      const NodeIndex fi = index_.find(from);
+      if (fi == kNoNode || !listed(succ_[fi], id)) return false;
+    }
+    successors += succ_[slot].size();
+    predecessors += pred_[slot].size();
+  }
+  // Every listed edge was found in the table above, so equal counts rule
+  // out stray table entries: the table holds exactly the listed edges.
+  return successors == predecessors && caps_.size() == successors;
 }
 
 }  // namespace bc::graph

@@ -4,15 +4,17 @@
 // has uploaded to peer j in the past" (paper §3.2), and gossiped totals are
 // merged with max (§3.4). So the graph only grows: it gains nodes and edges
 // and its capacities rise, but nothing is ever removed or lowered. It is
-// sparse and mutated incrementally as transfer records arrive; at
-// reputation-serving scale the two-hop maxflow query is the hot path of the
-// whole system, so storage is a dense-index core: a PeerIndex interns
-// PeerIds to dense NodeIndex slots, and per-node adjacency is a sorted
-// array of Edge entries (ascending neighbor PeerId) with a mirrored in-edge
-// array for reverse traversal. Sorted arrays make neighbor queries a binary
-// search, the two-hop flow a linear merge-scan (see maxflow.cpp), and every
+// sparse and mutated incrementally as transfer records arrive; merging
+// records and answering the two-hop maxflow are the whole client path.
+//
+// Each capacity is stored once, in a flat table keyed by the (from, to)
+// PeerId pair, so checking or raising an existing edge is one probe. The
+// structure sits beside it in a dense-index core: a PeerIndex interns
+// PeerIds to dense NodeIndex slots, and each node keeps two sorted PeerId
+// lists, its successors and its predecessors. The sorted lists make the
+// two-hop flow a sorted-list intersection (see maxflow.cpp) and every
 // public iteration surface deterministically ordered without sorted_view
-// wrappers.
+// wrappers; the edge views read each capacity from the table.
 //
 // The public API speaks PeerId only. Dense indices are an internal detail
 // of src/graph/ (bc-analyze rule G1 flags leaks); the `index()` accessor
@@ -21,12 +23,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
 #include "graph/peer_index.hpp"
 #include "util/assert.hpp"
-#include "util/checked.hpp"  // BC_NO_SANITIZE_INTEGER
+#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 #include "util/units.hpp"
 
@@ -34,8 +37,7 @@
 /// carries a snapshot of the owning graph's generation counter and every
 /// access asserts the graph has not been structurally mutated since the
 /// view was taken: together with ASan, the gate for stale views. Release
-/// builds compile the bookkeeping out entirely; EdgeView is then
-/// layout-identical to std::span<const Edge>.
+/// builds compile the bookkeeping out entirely.
 #ifndef NDEBUG
 #define BC_GRAPH_GENERATION_CHECKS 1
 #else
@@ -45,9 +47,8 @@
 namespace bc::graph {
 
 /// One adjacency entry: a neighbor and the capacity of the connecting edge.
-/// In an out-edge array of node u, `peer` is the head v of edge (u, v); in
-/// an in-edge array of node v, `peer` is the tail u and `cap` the same
-/// c(u, v) (the mirror stores capacities so reverse scans need no lookup).
+/// Out of node u, `peer` is the head v of edge (u, v); into node v, `peer`
+/// is the tail u. Either way `cap` is c(u, v), read from the capacity table.
 struct Edge {
   PeerId peer;
   Bytes cap;
@@ -55,76 +56,124 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// A read-only view of one node's adjacency array. Semantically a
-/// std::span<const Edge> (and exactly that in release builds), but in debug
-/// and validate builds every access BC_DASSERT-checks that the owning
-/// FlowGraph has not inserted an edge since the view was taken: an insert
-/// may move adjacency storage, so holding a view across
-/// add_capacity/raise_capacity is the classic dangling-span bug, and this
-/// makes it fail-stop instead of silent UB.
+/// The graph's only store of capacities: packed (from, to) -> c(from, to).
+using CapacityTable = util::FlatMap<std::uint64_t, Bytes>;
+
+/// The capacity table's key for edge (from, to). Its free-cell key, all
+/// ones, packs the self-edge (kInvalidPeer, kInvalidPeer), which no graph
+/// stores.
+inline std::uint64_t edge_key(PeerId from, PeerId to) {
+  return (std::uint64_t{from} << 32) | std::uint64_t{to};
+}
+
+/// A read-only view of one node's successors or predecessors, ascending by
+/// PeerId, yielding Edge{peer, cap} by value. In debug and validate builds
+/// every access BC_DASSERT-checks that the owning FlowGraph has not
+/// inserted an edge since the view was taken: an insert may move the id
+/// lists, so holding a view across add_capacity/raise_capacity is the
+/// classic dangling-span bug, and this makes it fail-stop instead of silent
+/// UB. Capacities are read at access time, so a view sees in-place raises.
 class EdgeView {
  public:
+  class iterator {
+   public:
+    // Yields Edge by value, so it is an input iterator to the standard
+    // algorithms.
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Edge;
+    using difference_type = std::ptrdiff_t;
+    using reference = Edge;
+    using pointer = void;
+
+    iterator() = default;
+
+    Edge operator*() const {
+      return Edge{*p_, caps_->at(out_ ? edge_key(node_, *p_)
+                                      : edge_key(*p_, node_))};
+    }
+    iterator& operator++() {
+      ++p_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++p_;
+      return before;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.p_ == b.p_;
+    }
+
+   private:
+    friend class EdgeView;
+    iterator(const PeerId* p, PeerId node, bool out,
+             const CapacityTable* caps)
+        : p_(p), node_(node), out_(out), caps_(caps) {}
+
+    const PeerId* p_ = nullptr;
+    PeerId node_ = kInvalidPeer;
+    bool out_ = true;
+    const CapacityTable* caps_ = nullptr;
+  };
   using value_type = Edge;
-  using iterator = const Edge*;
 
   EdgeView() = default;
 
-  const Edge* begin() const {
+  iterator begin() const {
     check();
-    return span_.data();
+    return iterator(ids_.data(), node_, out_, caps_);
   }
-  const Edge* end() const {
+  iterator end() const {
     check();
-    return span_.data() + span_.size();
+    return iterator(ids_.data() + ids_.size(), node_, out_, caps_);
   }
   std::size_t size() const {
     check();
-    return span_.size();
+    return ids_.size();
   }
   bool empty() const {
     check();
-    return span_.empty();
+    return ids_.empty();
   }
-  const Edge& operator[](std::size_t i) const {
-    check();
-    return span_[i];
+  Edge operator[](std::size_t i) const {
+    return *iterator(&peers()[i], node_, out_, caps_);
   }
-  const Edge& front() const {
+
+  /// The neighbor ids alone, ascending, for callers that need no capacity.
+  /// Checked when taken; like the view, invalidated by any edge insert.
+  std::span<const PeerId> peers() const {
     check();
-    return span_.front();
-  }
-  const Edge& back() const {
-    check();
-    return span_.back();
+    return ids_;
   }
 
  private:
   friend class FlowGraph;
 
+  std::span<const PeerId> ids_;
+  PeerId node_ = kInvalidPeer;  // the node whose neighbors these are
+  bool out_ = true;             // successors (else predecessors)
+  const CapacityTable* caps_ = nullptr;
+
 #if BC_GRAPH_GENERATION_CHECKS
-  EdgeView(std::span<const Edge> span, const std::uint64_t* gen)
-      : span_(span), gen_(gen), snapshot_(gen != nullptr ? *gen : 0) {}
+  EdgeView(std::span<const PeerId> ids, PeerId node, bool out,
+           const CapacityTable* caps, const std::uint64_t* gen)
+      : ids_(ids), node_(node), out_(out), caps_(caps), gen_(gen),
+        snapshot_(gen != nullptr ? *gen : 0) {}
 
   void check() const {
     BC_DASSERT(gen_ == nullptr || *gen_ == snapshot_);
   }
 
-  std::span<const Edge> span_;
   const std::uint64_t* gen_ = nullptr;  // owning graph's counter; null = empty
   std::uint64_t snapshot_ = 0;          // counter value when the view was taken
 #else
-  explicit EdgeView(std::span<const Edge> span) : span_(span) {}
+  EdgeView(std::span<const PeerId> ids, PeerId node, bool out,
+           const CapacityTable* caps)
+      : ids_(ids), node_(node), out_(out), caps_(caps) {}
 
   void check() const {}
-
-  std::span<const Edge> span_;
 #endif
 };
-
-#if !BC_GRAPH_GENERATION_CHECKS
-static_assert(sizeof(EdgeView) == sizeof(std::span<const Edge>),
-              "EdgeView must carry zero overhead in release builds");
-#endif
 
 class FlowGraph {
  public:
@@ -139,20 +188,23 @@ class FlowGraph {
   bool raise_capacity(PeerId from, PeerId to, Bytes amount);
 
   /// Capacity of (from, to); 0 if the edge or either node is absent.
-  Bytes capacity(PeerId from, PeerId to) const;
+  Bytes capacity(PeerId from, PeerId to) const {
+    const Bytes* cap = caps_.find(edge_key(from, to));
+    return cap == nullptr ? 0 : *cap;
+  }
 
   bool has_node(PeerId node) const { return index_.contains(node); }
   std::size_t num_nodes() const { return index_.size(); }
-  std::size_t num_edges() const { return num_edges_; }
+  std::size_t num_edges() const { return caps_.size(); }
 
   /// Successors of `node` with positive capacity, ascending by PeerId.
   /// Empty view for an unknown node. Invalidated by any edge insert (debug
   /// builds assert on stale access; see EdgeView).
-  EdgeView out_edges(PeerId node) const;
+  EdgeView out_edges(PeerId node) const { return view(succ_, node, true); }
   /// Predecessors of `node` (each entry: tail peer and the capacity of the
   /// edge into `node`), ascending by PeerId. Invalidated by any edge insert
   /// (debug builds assert on stale access; see EdgeView).
-  EdgeView in_edges(PeerId node) const;
+  EdgeView in_edges(PeerId node) const { return view(pred_, node, false); }
 
   /// All node ids, sorted ascending (deterministic across runs and
   /// standard-library implementations).
@@ -167,10 +219,10 @@ class FlowGraph {
   /// Sum of capacities entering `node` (the trivial cut around the sink).
   Bytes in_capacity(PeerId node) const;
 
-  /// Internal consistency check (adjacency sorted strictly ascending, all
-  /// capacities positive, out/in arrays mirror each other with equal
-  /// capacities, PeerIndex bijection intact). Used by tests and BC_DASSERT
-  /// call sites.
+  /// Internal consistency check (id lists sorted strictly ascending and
+  /// mirroring each other, the capacity table holding exactly the listed
+  /// edges with positive capacities, PeerIndex bijection intact). Used by
+  /// tests and BC_DASSERT call sites.
   bool check_invariants() const;
 
   /// The interning layer, exposed for the maxflow implementations and the
@@ -180,99 +232,26 @@ class FlowGraph {
   /// Structural-mutation counter: bumped by every edge insert, the only
   /// operation that can invalidate an outstanding EdgeView. Maintained in
   /// all build types (one increment per insert is noise next to the
-  /// adjacency work); only debug builds *check* it. Exposed for tests and
+  /// list inserts); only debug builds *check* it. Exposed for tests and
   /// external snapshot protocols.
   std::uint64_t generation() const { return gen_; }
 
  private:
+  using Lists = std::vector<std::vector<PeerId>>;  // slot -> sorted ids
+
   // Ensures the node exists, returning its slot.
   NodeIndex touch(PeerId node);
 
-  // Adjacency of `node` in one side (out_ or in_); empty for unknown nodes.
-  std::span<const Edge> edges_of(const std::vector<std::vector<Edge>>& side,
-                                 PeerId node) const;
+  // Adds the absent edge (from, to) with capacity `cap` > 0.
+  void insert_edge(PeerId from, PeerId to, Bytes cap);
 
-  /// Flat open-addressing sidecar mapping (tail PeerId, head PeerId) to the
-  /// edge capacity. The sorted adjacency arrays stay the source of truth
-  /// for every iteration surface (merge scans, spans, determinism); the
-  /// sidecar exists solely so the point query `capacity(from, to)` is a
-  /// single probe sequence instead of a binary search over a scattered
-  /// adjacency array. Entries are never erased (the graph only grows), so
-  /// linear probing needs no tombstones.
-  class CapSidecar {
-   public:
-    const Bytes* find(PeerId from, PeerId to) const {
-      if (cells_.empty()) return nullptr;
-      const std::uint64_t key = key_of(from, to);
-      std::size_t i = hash_of(key) & mask_;
-      while (cells_[i].key != kEmpty) {
-        if (cells_[i].key == key) return &cells_[i].cap;
-        i = (i + 1) & mask_;
-      }
-      return nullptr;
-    }
-
-    void insert_or_assign(PeerId from, PeerId to, Bytes cap) {
-      if ((size_ + 1) * 4 > cells_.size() * 3) grow();
-      const std::uint64_t key = key_of(from, to);
-      std::size_t i = hash_of(key) & mask_;
-      while (cells_[i].key != kEmpty) {
-        if (cells_[i].key == key) {
-          cells_[i].cap = cap;
-          return;
-        }
-        i = (i + 1) & mask_;
-      }
-      cells_[i] = Cell{key, cap};
-      ++size_;
-    }
-
-    std::size_t size() const { return size_; }
-
-   private:
-    struct Cell {
-      std::uint64_t key;
-      Bytes cap;
-    };
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    // The sentinel packs the self-edge (kInvalidPeer, kInvalidPeer), which
-    // add_capacity/raise_capacity reject, so no stored key can collide with
-    // it (and find() of that pair stops at the first free cell).
-    static std::uint64_t key_of(PeerId from, PeerId to) {
-      return (std::uint64_t{from} << 32) | std::uint64_t{to};
-    }
-
-    BC_NO_SANITIZE_INTEGER static std::size_t hash_of(std::uint64_t x) {
-      x += 0x9e3779b97f4a7c15ull;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-
-    void grow() {
-      std::vector<Cell> old = std::move(cells_);
-      const std::size_t n = old.empty() ? 16 : old.size() * 2;
-      cells_.assign(n, Cell{kEmpty, 0});
-      mask_ = n - 1;
-      for (const Cell& c : old) {
-        if (c.key == kEmpty) continue;
-        std::size_t i = hash_of(c.key) & mask_;
-        while (cells_[i].key != kEmpty) i = (i + 1) & mask_;
-        cells_[i] = c;
-      }
-    }
-
-    std::vector<Cell> cells_;  // power-of-two sized; key == kEmpty is free
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-  };
+  // The view of `node` in one side (succ_ or pred_); empty when unknown.
+  EdgeView view(const Lists& side, PeerId node, bool out) const;
 
   PeerIndex index_;
-  std::vector<std::vector<Edge>> out_;  // slot -> sorted out-adjacency
-  std::vector<std::vector<Edge>> in_;   // slot -> sorted in-adjacency
-  CapSidecar caps_;                     // (tail, head) -> capacity
-  std::size_t num_edges_ = 0;
+  Lists succ_;          // slot -> successors
+  Lists pred_;          // slot -> predecessors
+  CapacityTable caps_;  // (from, to) -> capacity, for every listed edge
   std::uint64_t gen_ = 0;  // see generation()
 };
 

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "util/assert.hpp"
 #include "util/checked.hpp"
+#include "util/flat_map.hpp"
 
 namespace bc::graph {
 
@@ -22,63 +22,61 @@ namespace {
 /// bookkeeping performed here.
 ///
 /// Augmentation deltas are sparse relative to the graph (bounded by the
-/// number of augmenting-path edges), so they live in a small side map keyed
-/// by the packed endpoint pair; the adjacency itself is read straight from
-/// the dense sorted edge arrays.
+/// number of augmenting-path edges), so they live in a small flat table
+/// keyed by the packed endpoint pair, like the graph's capacities; the
+/// neighbours come straight from the graph's sorted id lists.
 class Residual {
  public:
   explicit Residual(const FlowGraph& g) : g_(g) {}
 
   Bytes residual(PeerId u, PeerId v) const {
     Bytes r = g_.capacity(u, v);
-    if (auto it = delta_.find(key(u, v)); it != delta_.end()) r += it->second;
+    if (const Bytes* delta = delta_.find(edge_key(u, v))) r += *delta;
     return r;
   }
 
   void augment(PeerId u, PeerId v, Bytes amount) {
-    delta_[key(u, v)] -= amount;
-    delta_[key(v, u)] += amount;
+    *delta_.try_emplace(edge_key(u, v), 0).first -= amount;
+    *delta_.try_emplace(edge_key(v, u), 0).first += amount;
   }
 
   /// Neighbours reachable from u with positive residual capacity, visited in
-  /// ascending PeerId order: a single merge-scan over the sorted out-edge
-  /// array (forward residuals) and in-edge array (reverse residuals, which
+  /// ascending PeerId order: a single merge-scan over the sorted successor
+  /// list (forward residuals) and predecessor list (reverse residuals, which
   /// exist only toward predecessors in the original graph). The sorted
-  /// arrays make the deterministic order free — no collect-and-sort pass.
+  /// lists make the deterministic order free — no collect-and-sort pass. A
+  /// forward edge no augmentation has touched keeps its whole, positive
+  /// capacity, so a capacity is read from the table only under a delta.
   template <typename Fn>
-  void for_each_residual_edge(PeerId u, Fn&& fn) const {
-    const EdgeView out = g_.out_edges(u);
-    const EdgeView in = g_.in_edges(u);
+  void for_each_residual_neighbour(PeerId u, Fn&& fn) const {
+    const std::span<const PeerId> out = g_.out_edges(u).peers();
+    const std::span<const PeerId> in = g_.in_edges(u).peers();
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < out.size() || j < in.size()) {
-      PeerId v;
-      Bytes base;
-      if (j == in.size() || (i < out.size() && out[i].peer <= in[j].peer)) {
-        v = out[i].peer;
-        base = out[i].cap;
-        if (j < in.size() && in[j].peer == v) ++j;  // both directions exist
+      // A predecessor with no forward edge (u, v) is reverse-only.
+      const bool forward =
+          j == in.size() || (i < out.size() && out[i] <= in[j]);
+      const PeerId v = forward ? out[i] : in[j];
+      if (forward) {
+        if (j < in.size() && in[j] == v) ++j;  // both directions exist
         ++i;
       } else {
-        v = in[j].peer;  // reverse-only: no forward edge (u, v)
-        base = 0;
         ++j;
       }
-      Bytes r = base;
-      if (auto it = delta_.find(key(u, v)); it != delta_.end()) {
-        r = util::saturating_add(r, it->second);
+      const Bytes* delta = delta_.find(edge_key(u, v));
+      if (delta == nullptr) {
+        if (forward) fn(v);
+        continue;
       }
-      if (r > 0) fn(v, r);
+      const Bytes base = forward ? g_.capacity(u, v) : 0;
+      if (util::saturating_add(base, *delta) > 0) fn(v);
     }
   }
 
  private:
-  static std::uint64_t key(PeerId u, PeerId v) {
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
-
   const FlowGraph& g_;
-  std::unordered_map<std::uint64_t, Bytes> delta_;
+  util::FlatMap<std::uint64_t, Bytes> delta_;  // packed (u, v) -> delta
 };
 
 /// Search scratch reused across queries and augmentation rounds: the
@@ -94,7 +92,7 @@ struct SearchScratch {
   std::vector<PeerId> path;
   std::vector<PeerId> parent;
   std::vector<PeerId> queue;  // BFS FIFO: a cursor chases push_backs
-  std::deque<std::vector<std::pair<PeerId, Bytes>>> frontier;
+  std::deque<std::vector<PeerId>> frontier;
 };
 
 SearchScratch& search_scratch() {
@@ -109,7 +107,7 @@ SearchScratch& search_scratch() {
 bool dfs_find_path(const FlowGraph& g, const Residual& res, PeerId u, PeerId t,
                    int depth_left, std::vector<char>& visited,
                    std::vector<PeerId>& path,
-                   std::deque<std::vector<std::pair<PeerId, Bytes>>>& frontier,
+                   std::deque<std::vector<PeerId>>& frontier,
                    std::size_t depth) {
   if (u == t) return true;
   if (depth_left == 0) return false;
@@ -118,11 +116,11 @@ bool dfs_find_path(const FlowGraph& g, const Residual& res, PeerId u, PeerId t,
   if (frontier.size() <= depth) frontier.emplace_back();
   // Collect candidates first so recursion does not interleave with the
   // residual merge-scan; the scan already yields ascending PeerId order.
-  std::vector<std::pair<PeerId, Bytes>>& candidates = frontier[depth];
+  std::vector<PeerId>& candidates = frontier[depth];
   candidates.clear();
-  res.for_each_residual_edge(
-      u, [&](PeerId v, Bytes r) { candidates.emplace_back(v, r); });
-  for (const auto& [v, _] : candidates) {
+  res.for_each_residual_neighbour(
+      u, [&](PeerId v) { candidates.push_back(v); });
+  for (PeerId v : candidates) {
     if (visited[g.index().find(v)] != 0) continue;
     path.push_back(v);
     if (dfs_find_path(g, res, v, t, depth_left < 0 ? -1 : depth_left - 1,
@@ -196,7 +194,7 @@ Bytes max_flow_edmonds_karp(const FlowGraph& g, PeerId s, PeerId t) {
     bool reached = false;
     while (cursor < queue.size() && !reached) {
       const PeerId u = queue[cursor++];
-      res.for_each_residual_edge(u, [&](PeerId v, Bytes) {
+      res.for_each_residual_neighbour(u, [&](PeerId v) {
         if (reached) return;
         PeerId& p = parent[g.index().find(v)];
         if (p != kInvalidPeer) return;
@@ -235,24 +233,27 @@ Bytes max_flow_two_hop(const FlowGraph& g, PeerId s, PeerId t) {
   if (s == t || !g.has_node(s) || !g.has_node(t)) return 0;
   Bytes flow = g.capacity(s, t);
   // Paths of length two are pairwise edge-disjoint, so the flow beyond the
-  // direct edge is a merge-scan intersection of s's successors and t's
+  // direct edge is the intersection of s's successors and t's
   // predecessors: each shared neighbour v contributes min(c(s,v), c(v,t)).
-  // Neither span can contain its own node (no self-edges), so s and t are
-  // excluded from the intersection automatically.
-  const EdgeView out = g.out_edges(s);
-  const EdgeView in = g.in_edges(t);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < out.size() && j < in.size()) {
-    if (out[i].peer < in[j].peer) {
-      ++i;
-    } else if (in[j].peer < out[i].peer) {
-      ++j;
-    } else {
-      flow = util::saturating_add(flow, std::min(out[i].cap, in[j].cap));
-      ++i;
-      ++j;
-    }
+  // The walk takes the shorter list and binary-searches each of its ids
+  // forward in the longer one, so a query against a hub costs the other
+  // peer's degree times log(hub degree). Every term is positive, so the
+  // saturating sum is min(total, INT64_MAX) in any order. Neither list can
+  // contain its own node (no self-edges), so s and t are excluded from the
+  // intersection automatically.
+  const std::span<const PeerId> out = g.out_edges(s).peers();
+  const std::span<const PeerId> in = g.in_edges(t).peers();
+  const bool walk_out = out.size() <= in.size();
+  const std::span<const PeerId> shorter = walk_out ? out : in;
+  const std::span<const PeerId> longer = walk_out ? in : out;
+  auto from = longer.begin();
+  for (PeerId v : shorter) {
+    from = std::lower_bound(from, longer.end(), v);
+    if (from == longer.end()) break;
+    if (*from != v) continue;
+    flow = util::saturating_add(flow,
+                                std::min(g.capacity(s, v), g.capacity(v, t)));
+    ++from;
   }
   flow_bytes.observe(static_cast<double>(flow));
   return flow;

@@ -11,9 +11,13 @@
 //    implementation, used to cross-check Ford-Fulkerson in tests.
 //  * max_flow_two_hop: closed-form two-hop maxflow. Paths of length <= 2
 //    between distinct s and t are pairwise edge-disjoint, so the maximum is
-//    exactly c(s,t) + sum_v min(c(s,v), c(v,t)), computed as a linear
-//    merge-scan intersection of the sorted out-edges of s and in-edges of
-//    t: O(deg(s) + deg(t)). This is the fast path of the reputation engine.
+//    exactly c(s,t) + sum_v min(c(s,v), c(v,t)). The intersection of the
+//    sorted successors of s and predecessors of t walks the shorter list
+//    and binary-searches forward in the longer one, reading the two
+//    capacities of each shared v from the graph's table:
+//    O(min(deg) * log(max(deg))), so a query against a hub costs the other
+//    peer's degree, not the hub's. This is the fast path of the reputation
+//    engine.
 //
 // Note on bounded paths: for a bound of 1 or 2 the depth-limited
 // Ford-Fulkerson is exact (paths are edge-disjoint). For larger bounds the

@@ -1,26 +1,21 @@
 #include "graph/peer_index.hpp"
 
-#include "util/sorted_view.hpp"
+#include <algorithm>
 
 namespace bc::graph {
 
-NodeIndex PeerIndex::intern(PeerId id) {
-  auto [it, inserted] =
-      index_of_.try_emplace(id, static_cast<NodeIndex>(peer_of_.size()));
-  if (inserted) peer_of_.push_back(id);
-  return it->second;
-}
-
 std::vector<PeerId> PeerIndex::ids_sorted() const {
-  return util::sorted_keys(index_of_);
+  std::vector<PeerId> ids = peer_of_;
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 bool PeerIndex::check_invariants() const {
-  if (index_of_.size() != peer_of_.size()) return false;
-  // bc-analyze: allow(D1) -- boolean all-of over the map; a pure predicate, order cannot change the result
-  for (const auto& [id, slot] : index_of_) {
-    if (id == kInvalidPeer) return false;
-    if (slot >= peer_of_.size() || peer_of_[slot] != id) return false;
+  // Every slot's id maps back to that slot and the sizes agree, so the
+  // table holds exactly the interned ids.
+  if (slot_of_.size() != peer_of_.size()) return false;
+  for (NodeIndex slot = 0; slot < peer_of_.size(); ++slot) {
+    if (find(peer_of_[slot]) != slot) return false;
   }
   return true;
 }

@@ -2,12 +2,14 @@
 // graph core stores internally.
 //
 // FlowGraph addresses its vertex tables with NodeIndex — a dense u32 slot
-// number — so adjacency, visited sets, and residual bookkeeping are plain
-// vectors instead of hash maps. PeerIndex owns the PeerId <-> NodeIndex
-// bijection. Interning is append-only, as the graph only grows: slots are
-// handed out in first-touch order and never freed, so the assignment
-// depends only on the operation sequence (deterministic across runs and
-// standard libraries).
+// number — so its id lists, visited sets, and residual bookkeeping are
+// plain vectors instead of hash maps. PeerIndex owns the PeerId <->
+// NodeIndex bijection: a flat open-addressing table (util::FlatMap) from id
+// to slot and a vector from slot to id. Interning is append-only, as the
+// graph only grows: slots are handed out in first-touch order and never
+// freed, so the assignment depends only on the operation sequence
+// (deterministic across runs and standard libraries). kInvalidPeer is the
+// table's free-cell key and can never be interned.
 //
 // NodeIndex values are an implementation detail of src/graph/: a slot is
 // one graph's first-touch order, so the same peer has different slots in
@@ -19,9 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
+#include "util/flat_map.hpp"
 #include "util/ids.hpp"
 
 namespace bc::graph {
@@ -34,13 +36,18 @@ inline constexpr NodeIndex kNoNode = std::numeric_limits<NodeIndex>::max();
 
 class PeerIndex {
  public:
-  /// Slot of `id`, appending one if absent.
-  NodeIndex intern(PeerId id);
+  /// Slot of `id`, appending one if absent. `id` must not be kInvalidPeer.
+  NodeIndex intern(PeerId id) {
+    const auto [slot, inserted] =
+        slot_of_.try_emplace(id, static_cast<NodeIndex>(peer_of_.size()));
+    if (inserted) peer_of_.push_back(id);
+    return *slot;
+  }
 
   /// Slot of `id`, or kNoNode if the peer was never interned.
   NodeIndex find(PeerId id) const {
-    auto it = index_of_.find(id);
-    return it == index_of_.end() ? kNoNode : it->second;
+    const NodeIndex* slot = slot_of_.find(id);
+    return slot == nullptr ? kNoNode : *slot;
   }
 
   /// PeerId occupying `slot`; kInvalidPeer past the end of the table.
@@ -48,7 +55,7 @@ class PeerIndex {
     return slot < peer_of_.size() ? peer_of_[slot] : kInvalidPeer;
   }
 
-  bool contains(PeerId id) const { return index_of_.contains(id); }
+  bool contains(PeerId id) const { return slot_of_.find(id) != nullptr; }
 
   /// Number of interned peers, which is also the size of the dense slot
   /// table: vertex-indexed vectors inside the graph module are sized to it.
@@ -63,8 +70,8 @@ class PeerIndex {
   bool check_invariants() const;
 
  private:
-  std::unordered_map<PeerId, NodeIndex> index_of_;
-  std::vector<PeerId> peer_of_;  // slot -> id
+  util::FlatMap<PeerId, NodeIndex> slot_of_;  // id -> slot
+  std::vector<PeerId> peer_of_;               // slot -> id
 };
 
 }  // namespace bc::graph

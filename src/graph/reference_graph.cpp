@@ -133,7 +133,9 @@ class RefResidual {
 
   Bytes residual(PeerId u, PeerId v) const {
     Bytes r = g_.capacity(u, v);
-    if (auto it = delta_.find(key(u, v)); it != delta_.end()) r += it->second;
+    if (auto it = delta_.find(key(u, v)); it != delta_.end()) {
+      r = util::saturating_add(r, it->second);
+    }
     return r;
   }
 

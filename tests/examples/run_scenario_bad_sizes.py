@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """run_scenario must fail loudly on bad input, before it simulates anything.
 
-A bad trace size or ban threshold gets the usage and exit 2; a seeding
+A bad trace size (including more than 4,096 peers or 65,536 swarms, whose
+memory the machine may not have) or ban threshold gets the usage and exit
+2; a seeding
 period the scenario rejects, a --save-trace path that cannot be written, or
 a --trace file with a non-finite time gets a message and exit 1. So does a
 trace, generated or read, that would make the simulator allocate without
@@ -31,6 +33,8 @@ CASES = [
     (["--days=nan"], 2),
     (["--days=inf"], 2),
     (["--days=1e9"], 2),
+    (["--peers=4097", "--swarms=1", "--days=0.001"], 2),
+    (["--peers=5", "--swarms=65537", "--days=0.001"], 2),
     (["--policy=ban", "--delta=0.5", *SMALL], 2),
     (["--policy=ban", "--delta=nan", *SMALL], 2),
     (["--seed-hours=nan", *SMALL], 1),

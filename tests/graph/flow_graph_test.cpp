@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace bc::graph {
 namespace {
@@ -37,7 +39,7 @@ TEST(FlowGraph, ZeroAddCreatesNodesNotEdges) {
 
 TEST(FlowGraph, SetCapacityReplaces) {
   // raise_capacity is a max-merge: a lower or equal amount changes
-  // nothing, a higher one replaces the capacity everywhere it is stored.
+  // nothing, a higher one replaces the capacity, which both views read.
   FlowGraph g;
   g.add_capacity(1, 2, 100);
   const std::uint64_t gen = g.generation();
@@ -47,7 +49,7 @@ TEST(FlowGraph, SetCapacityReplaces) {
   EXPECT_EQ(g.generation(), gen);
 
   EXPECT_TRUE(g.raise_capacity(1, 2, 250));
-  EXPECT_EQ(g.capacity(1, 2), 250);  // the sidecar
+  EXPECT_EQ(g.capacity(1, 2), 250);  // the table
   EXPECT_EQ(g.out_edges(1)[0], (Edge{2, 250}));
   EXPECT_EQ(g.in_edges(2)[0], (Edge{1, 250}));
   EXPECT_EQ(g.num_edges(), 1u);
@@ -68,6 +70,42 @@ TEST(FlowGraph, SetCapacityCreatesEdge) {
   EXPECT_EQ(g.num_nodes(), 2u);
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.in_edges(4)[0], (Edge{3, 77}));
+  EXPECT_TRUE(g.check_invariants());
+}
+
+TEST(FlowGraph, RaisingAnExistingEdgeWritesInPlace) {
+  // The capacity table is the only store of a capacity: raising an edge
+  // that exists writes its cell, inserts nothing, and both views of the
+  // edge read the new value.
+  FlowGraph g;
+  g.add_capacity(5, 2, 1);
+  g.add_capacity(5, 7, 3);
+  g.add_capacity(5, 9, 4);
+  g.add_capacity(4, 7, 6);
+  g.add_capacity(8, 7, 8);
+  const std::uint64_t gen = g.generation();
+  const std::size_t edges = g.num_edges();
+  const std::size_t nodes = g.num_nodes();
+
+  EXPECT_TRUE(g.raise_capacity(5, 7, 300));
+  g.add_capacity(4, 7, 10);  // the accumulating update is in place too
+  EXPECT_EQ(g.generation(), gen);
+  EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_EQ(g.num_nodes(), nodes);
+
+  const EdgeView out = g.out_edges(5);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], (Edge{2, 1}));
+  EXPECT_EQ(out[1], (Edge{7, 300}));
+  EXPECT_EQ(out[2], (Edge{9, 4}));
+  const EdgeView in = g.in_edges(7);
+  ASSERT_EQ(in.size(), 3u);
+  EXPECT_EQ(in[0], (Edge{4, 16}));
+  EXPECT_EQ(in[1], (Edge{5, 300}));
+  EXPECT_EQ(in[2], (Edge{8, 8}));
+  const std::span<const PeerId> preds = in.peers();
+  EXPECT_EQ(std::vector<PeerId>(preds.begin(), preds.end()),
+            (std::vector<PeerId>{4, 5, 8}));
   EXPECT_TRUE(g.check_invariants());
 }
 

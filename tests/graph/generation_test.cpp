@@ -1,8 +1,9 @@
 // Tests for the FlowGraph structural-generation counter and the EdgeView
-// invalidation guard, the gate for stale views next to ASan. Debug builds must
-// fail stop on a stale view; release builds must pay nothing for the guard
-// (EdgeView is layout-identical to std::span<const Edge>, checked at compile
-// time).
+// invalidation guard, the gate for stale views next to ASan. An edge insert
+// may move a node's id list, so debug builds must fail stop on a view taken
+// before one; an in-place raise only writes the capacity table, which views
+// read at access time, so it must leave views valid. Release builds compile
+// the guard out.
 #include <cstdint>
 #include <span>
 
