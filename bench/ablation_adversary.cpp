@@ -59,7 +59,8 @@ Cell run_cell(const std::string& adversary, bartercast::BackendKind backend) {
       "sharer:0.5,lazy-freerider:0.25," + adversary + ":0.25";
   cfg.node.backend = backend;
 
-  community::CommunitySimulator sim(trace::generate(tcfg), cfg);
+  community::CommunitySimulator sim(trace::generate(tcfg), cfg,
+                                    bench::metrics_stream());
   sim.run();
   const auto& m = sim.metrics();
 

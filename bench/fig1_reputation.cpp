@@ -24,7 +24,7 @@ int main() {
   community::ScenarioConfig cfg = bench::paper_scenario(33);
   cfg.policy = bartercast::ReputationPolicy::none();
   community::CommunitySimulator sim(trace::generate(bench::paper_trace(33)),
-                                    cfg);
+                                    cfg, bench::metrics_stream());
   sim.run();
   const auto& m = sim.metrics();
 

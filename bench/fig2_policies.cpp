@@ -39,7 +39,7 @@ community::Metrics run_policy(const bartercast::ReputationPolicy& policy,
   community::ScenarioConfig cfg = bench::paper_scenario(seed);
   cfg.policy = policy;
   community::CommunitySimulator sim(trace::generate(bench::paper_trace(seed)),
-                                    cfg);
+                                    cfg, bench::metrics_stream());
   sim.run();
   return sim.metrics();
 }

@@ -15,8 +15,11 @@
 //                          JSON (open in chrome://tracing or Perfetto)
 //   BC_METRICS_STREAM=f.ndjson  stream windowed metric deltas (one NDJSON
 //                          line per sim-hour window) while the run is in
-//                          flight — tail it to watch a paper-scale bench
-// so hot-path attribution of a paper-scale run is one env var away.
+//                          flight — tail it to watch a paper-scale bench;
+//                          a bench of several runs appends them all, `seq`
+//                          counting on across runs and `t` restarting
+// so hot-path attribution of a paper-scale run is one env var away. A path
+// that cannot be written stops the bench with exit 1 before it simulates.
 #pragma once
 
 #include <cstdio>
@@ -29,6 +32,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "obs/stream.hpp"
 #include "obs/trace_writer.hpp"
 #include "trace/generator.hpp"
 #include "util/units.hpp"
@@ -49,11 +53,15 @@ inline void dump_observability() {
     if (bc::obs::write_text_file(path,
                                  bc::obs::metrics_json(registry, profiler))) {
       std::fprintf(stderr, "metrics written to %s\n", path);
+    } else {
+      std::fprintf(stderr, "error: could not write %s\n", path);
     }
   }
   if (const char* path = std::getenv("BC_TRACE_OUT"); path != nullptr) {
     if (bc::obs::Tracer::instance().write_file(path)) {
       std::fprintf(stderr, "chrome trace written to %s\n", path);
+    } else {
+      std::fprintf(stderr, "error: could not write %s\n", path);
     }
   }
   if (const char* v = std::getenv("BC_PROFILE");
@@ -63,7 +71,19 @@ inline void dump_observability() {
   }
 }
 
+/// Exits 1 unless the file `var` names (if set) can be written: the
+/// exit-time dump would otherwise fail after the whole run.
+inline void require_writable(const char* var) {
+  const char* path = std::getenv(var);
+  if (path != nullptr && !bc::obs::write_text_file(path, "")) {
+    std::fprintf(stderr, "error: could not write %s\n", path);
+    std::exit(1);
+  }
+}
+
 inline void init_observability() {
+  require_writable("BC_METRICS_OUT");
+  require_writable("BC_TRACE_OUT");
   const bool profile = std::getenv("BC_PROFILE") != nullptr ||
                        std::getenv("BC_METRICS_OUT") != nullptr;
   const bool trace = std::getenv("BC_TRACE_OUT") != nullptr;
@@ -90,19 +110,26 @@ inline bc::trace::GeneratorConfig paper_trace(std::uint64_t seed) {
   return cfg;
 }
 
+/// The stream BC_METRICS_STREAM names, or nullptr when it is unset. The
+/// first call opens it, or exits 1 when the path cannot be written; every
+/// simulator the bench builds appends its windows to it, and it closes at
+/// exit.
+inline bc::obs::MetricsStream* metrics_stream() {
+  static bc::obs::MetricsStream stream;
+  const char* path = std::getenv("BC_METRICS_STREAM");
+  if (path == nullptr) return nullptr;
+  if (!stream.is_open() &&
+      !stream.open(path, bc::obs::Registry::instance())) {
+    std::fprintf(stderr, "error: could not write %s\n", path);
+    std::exit(1);
+  }
+  return &stream;
+}
+
 inline bc::community::ScenarioConfig paper_scenario(std::uint64_t seed) {
   bc::community::ScenarioConfig cfg;
   cfg.seed = seed;
-  if (const char* path = std::getenv("BC_METRICS_STREAM"); path != nullptr) {
-    // The simulator only warns when it cannot open the stream; refuse the
-    // path here, before a whole run writes nothing to it. The simulator
-    // truncates the probe's empty file when it opens the stream.
-    if (!bc::obs::write_text_file(path, "")) {
-      std::fprintf(stderr, "error: could not write %s\n", path);
-      std::exit(1);
-    }
-    cfg.metrics_stream_path = path;
-  }
+  metrics_stream();  // opened before the first run, so a bad path stops it
   return cfg;
 }
 

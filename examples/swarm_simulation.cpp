@@ -36,6 +36,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "obs/stream.hpp"
 #include "obs/trace_writer.hpp"
 #include "trace/generator.hpp"
 #include "util/flags.hpp"
@@ -77,10 +78,11 @@ int main(int argc, char** argv) {
                  "is dumped to\n");
     return 1;
   }
-  // The simulator only warns when it cannot open the stream; refuse the
-  // path here, before a whole run writes nothing to it. The simulator
-  // truncates the probe's empty file when it opens the stream.
-  if (!metrics_stream.empty() && !obs::write_text_file(metrics_stream, "")) {
+  // Opened before the run, so an unwritable path stops it before it
+  // simulates; the simulator appends its windows.
+  obs::MetricsStream stream;
+  if (!metrics_stream.empty() &&
+      !stream.open(metrics_stream, obs::Registry::instance())) {
     std::fprintf(stderr, "error: could not write %s\n",
                  metrics_stream.c_str());
     return 1;
@@ -119,7 +121,6 @@ int main(int argc, char** argv) {
   cfg.seed = 7;
   cfg.policy = bartercast::ReputationPolicy::ban(-0.5);
   cfg.series_bin = 2.0 * kHour;
-  cfg.metrics_stream_path = metrics_stream;
   cfg.population = flags->get("population", "");
   const std::string backend = flags->get("backend", "maxflow");
   const auto backend_kind = bartercast::parse_backend(backend);
@@ -134,8 +135,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  community::CommunitySimulator sim(trace::generate(tcfg), cfg);
+  community::CommunitySimulator sim(trace::generate(tcfg), cfg,
+                                    stream.is_open() ? &stream : nullptr);
   sim.run();
+  stream.close();
   const auto& m = sim.metrics();
 
   std::printf("== download speed over time (policy: %s) ==\n",

@@ -9,13 +9,11 @@ section 9 names the gate that owns each one.
 Rule catalogue (DESIGN.md section 9 gives each rule's invariant, scope
 and fixtures):
 
-  D1 unordered-iteration  hash-container iteration outside
-                          bc::util::sorted_view, or an order/hash over
+  D1 unordered-iteration  hash-container iteration, or an order/hash over
                           pointer values
-  D2 wall-clock           host clock outside src/obs/ and src/util/logging.*
+  D2 wall-clock           host clock outside src/obs/
   D3 unseeded-random      randomness not drawn from the seeded bc::Rng
                           (std::random_device, <random> engines, libc rand)
-  G1 dense-index-leak     PeerIndex / NodeIndex / kNoNode outside src/graph/
   L3 escaping-capture     `&` capture in a lambda passed to
                           Engine::schedule_at / _after / _periodic or
                           Overlay::schedule_delivery
@@ -35,13 +33,12 @@ Suppression syntax, on the offending line or a comment line directly above
   // bc-analyze: allow(D1) -- result is fully re-sorted with a total order
 """
 
-__version__ = "4.0"
+__version__ = "5.0"
 
 RULES = {
     "D1": "unordered-iteration",
     "D2": "wall-clock",
     "D3": "unseeded-random",
-    "G1": "dense-index-leak",
     "L3": "escaping-capture",
     "C1": "raw-primitive",
     "H1": "raw-assert",
@@ -54,19 +51,17 @@ RULES = {
 
 #: The trees (relative to the repo root, prefix-matched) a rule polices;
 #: a rule missing here covers every tree of the walk. Tests may iterate
-#: hash maps, read the clock, poke dense slots and start threads.
+#: hash maps, read the clock and start threads.
 RULE_SCOPES = {
     rule: ("src/", "bench/", "examples/")
-    for rule in ("D1", "D2", "G1", "L3", "C1")
+    for rule in ("D1", "D2", "L3", "C1")
 }
 
 #: Paths (relative to the repo root, prefix-matched) exempt per rule: the
 #: sanctioned implementation of each facility lives here.
 RULE_EXEMPT_PREFIXES = {
-    "D1": ("src/util/sorted_view.hpp",),
-    "D2": ("src/obs/", "src/util/logging.hpp", "src/util/logging.cpp"),
+    "D2": ("src/obs/",),
     "D3": ("src/util/rng.hpp", "src/util/rng.cpp"),
-    "G1": ("src/graph/",),
     "H1": ("src/util/assert.hpp",),
     "H2": ("src/util/assert.hpp",),
 }

@@ -18,7 +18,6 @@ from bc_analyze.rules_conventions import (
     check_h5,
 )
 from bc_analyze.rules_determinism import check_d1, check_d2, check_d3
-from bc_analyze.rules_graph import check_g1
 from bc_analyze.source import SourceFile, load_source
 
 DEFAULT_PATHS = ["src", "tests", "bench", "examples"]
@@ -35,7 +34,6 @@ D1_TABLES = ("unordered_vars", "unordered_fns",
 PER_FILE_CHECKS = {
     "D2": check_d2,
     "D3": check_d3,
-    "G1": check_g1,
     "L3": check_l3,
     "C1": check_c1,
     "H1": check_h1,
@@ -218,9 +216,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bc_analyze.py",
         description=("BarterCast repository linter: determinism (D1-D3),"
-                     " dense-index encapsulation (G1), stored callback"
-                     " captures (L3), the single thread (C1) and the house"
-                     " conventions (H1-H5)"))
+                     " stored callback captures (L3), the single thread"
+                     " (C1) and the house conventions (H1-H5)"))
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to analyze (default:"
                              f" {' '.join(DEFAULT_PATHS)}, skipping"

@@ -3,9 +3,9 @@
 D1 unordered-iteration: every peer must derive the same subjective graph
    and byte-identical exports from the same inputs, across runs *and*
    across standard-library implementations. std::unordered_map/set
-   iteration order is implementation-defined, so loops over them must be
-   routed through bc::util::sorted_view (or collect-and-sort and carry a
-   suppression explaining the total order). An order or hash over pointer
+   iteration order is implementation-defined, so code that needs an order
+   keeps an ordered container (or collects and sorts, with a suppression
+   explaining the total order). An order or hash over pointer
    values is reported too: addresses differ between runs and machines.
 D2 wall-clock: simulation state must depend only on Engine time, never on
    the host clock, or replays stop being bit-identical.
@@ -28,7 +28,6 @@ from bc_analyze.source import (
 # --- D1 ---------------------------------------------------------------------
 
 FOR_RE = re.compile(r"\bfor\s*\(")
-SORTED_WRAPPER_RE = re.compile(r"^(?:bc::)?(?:util::)?sorted_(?:view|keys)\s*\(")
 BEGIN_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
 PTR_ORDER_RE = re.compile(
     r"\bstd::less\s*<[^<>]*\*\s*>|\bstd::hash\s*<[^<>]*\*\s*>"
@@ -50,8 +49,6 @@ def _range_for_findings(sf: SourceFile, unordered_names: set[str],
         if colon < 0:
             continue  # classic for loop; .begin() scan covers iterator loops
         range_expr = header[colon + 1:].strip()
-        if SORTED_WRAPPER_RE.match(range_expr):
-            continue
         base = final_identifier(range_expr)
         if base is None:
             continue
@@ -65,10 +62,10 @@ def _range_for_findings(sf: SourceFile, unordered_names: set[str],
         out.append(Finding(
             rule="D1", slug="unordered-iteration", path=sf.rel, line=line,
             message=(f"range-for over unordered container `{base}`:"
-                     " iteration order is implementation-defined; wrap the"
-                     " range in bc::util::sorted_view(...) or suppress with"
-                     " a reason proving order cannot reach selection,"
-                     " reputation, or serialized output"),
+                     " iteration order is implementation-defined; keep an"
+                     " ordered container, or suppress with a reason proving"
+                     " order cannot reach selection, reputation, or"
+                     " serialized output (e.g. the keys are sorted after)"),
         ))
     return out
 
@@ -84,9 +81,8 @@ def _iterator_findings(sf: SourceFile,
                     line=lineno,
                     message=(f"iterator walk of unordered container"
                              f" `{m.group(1)}` via .begin(): order is"
-                             " implementation-defined; use"
-                             " bc::util::sorted_view or suppress with a"
-                             " reason"),
+                             " implementation-defined; keep an ordered"
+                             " container or suppress with a reason"),
                 ))
     return out
 
@@ -157,9 +153,8 @@ def check_d2(sf: SourceFile) -> list[Finding]:
             out.append(Finding(
                 rule="D2", slug="wall-clock", path=sf.rel, line=lineno,
                 message=(f"wall-clock source `{m.group(0).strip()}` outside"
-                         " src/obs/ and src/util/logging.*: simulation code"
-                         " must use Engine time so runs replay"
-                         " bit-identically"),
+                         " src/obs/: simulation code must use Engine time so"
+                         " runs replay bit-identically"),
             ))
     return out
 

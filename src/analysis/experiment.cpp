@@ -72,12 +72,4 @@ Table speed_table(const community::Metrics& metrics, Seconds time_unit) {
   return t;
 }
 
-double tail_speed_ratio(const community::Metrics& metrics, Seconds tail) {
-  const double sharers = metrics.tail_speed(metrics.speed_sharers, tail);
-  const double freeriders =
-      metrics.tail_speed(metrics.speed_freeriders, tail);
-  if (sharers <= 0.0) return 0.0;
-  return freeriders / sharers;
-}
-
 }  // namespace bc::analysis

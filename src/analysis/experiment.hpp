@@ -38,8 +38,4 @@ Table reputation_table(const community::Metrics& metrics, Seconds time_unit);
 /// of sharers and freeriders.
 Table speed_table(const community::Metrics& metrics, Seconds time_unit);
 
-/// Ratio freerider/sharer mean download speed over the final `tail`
-/// seconds — the headline numbers of §5.3 (~75% rank, ~50% ban).
-double tail_speed_ratio(const community::Metrics& metrics, Seconds tail);
-
 }  // namespace bc::analysis

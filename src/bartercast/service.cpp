@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace bc::bartercast {
 
@@ -59,10 +58,6 @@ bool Service::on_datagram(PeerId from, std::span<const std::uint8_t> data,
   if (!message.has_value()) {
     ++stats_.messages_rejected;
     rejected.inc();
-    BC_LOG_TAG(LogLevel::Debug, "bartercast",
-               "dropped %s datagram from peer %u (%zu bytes)",
-               valid_sender ? "undecodable" : "wrong-sender",
-               from, data.size());
     return false;
   }
   ++stats_.messages_received;

@@ -37,7 +37,6 @@ class Swarm {
 
   bool has_peer(PeerId peer) const { return members_.contains(peer); }
   std::vector<PeerId> members() const;
-  std::size_t num_members() const { return members_.size(); }
 
   const Bitfield& pieces(PeerId peer) const;
   bool is_complete(PeerId peer) const;

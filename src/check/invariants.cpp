@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <map>
 #include <unordered_set>
 #include <utility>
 
 #include "graph/maxflow.hpp"
 #include "util/checked.hpp"
-#include "util/sorted_view.hpp"
 
 namespace bc::check {
 
@@ -91,7 +90,9 @@ void check_history(const bartercast::PrivateHistory& history, Report& report) {
 void check_ledger_conservation(
     const std::vector<const bartercast::PrivateHistory*>& ledgers,
     Bytes expected_transferred, Report& report) {
-  std::unordered_map<PeerId, const bartercast::PrivateHistory*> by_owner;
+  // Ordered, so a run with several violations reports them in a stable
+  // order.
+  std::map<PeerId, const bartercast::PrivateHistory*> by_owner;
   for (const auto* h : ledgers) {
     if (h == nullptr) continue;
     check_history(*h, report);
@@ -103,8 +104,7 @@ void check_ledger_conservation(
 
   Bytes sum_up = 0;
   Bytes sum_down = 0;
-  // Sorted so a run with several violations reports them in a stable order.
-  for (const auto& [owner, h] : util::sorted_view(by_owner)) {
+  for (const auto& [owner, h] : by_owner) {
     sum_up = util::saturating_add(sum_up, h->total_uploaded());
     sum_down = util::saturating_add(sum_down, h->total_downloaded());
     for (const auto& e : h->entries()) {

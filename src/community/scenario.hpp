@@ -53,12 +53,6 @@ struct ScenarioConfig {
   /// the next benchmark change drops that assignment.
   std::size_t threads = 1;
 
-  // --- observability ---------------------------------------------------
-  /// When non-empty, the simulator streams windowed metric deltas (one
-  /// NDJSON line per hour of sim time, plus a final partial window at
-  /// finalize) to this path. See obs/stream.hpp.
-  std::string metrics_stream_path;
-
   /// Returns an empty string when the configuration is internally
   /// consistent; otherwise a human-readable description of the first
   /// problem (fractions out of range, disobeying fractions exceeding the

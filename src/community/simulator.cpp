@@ -12,7 +12,6 @@
 #include "obs/trace_writer.hpp"
 #include "util/assert.hpp"
 #include "util/checked.hpp"
-#include "util/logging.hpp"
 
 namespace bc::community {
 
@@ -46,26 +45,21 @@ std::vector<bool> connectability(const trace::Trace& trace) {
 }  // namespace
 
 CommunitySimulator::CommunitySimulator(trace::Trace trace,
-                                       ScenarioConfig config)
+                                       ScenarioConfig config,
+                                       obs::MetricsStream* stream)
     : trace_(std::move(trace)),
       config_(config),
       rng_(config.seed),
       overlay_(engine_, Rng(config.seed ^ 0x6f6e6c696e65ULL),
                connectability(trace_)),
       pss_(config.seed ^ 0x70737321ULL, trace_.peers.size()),
-      metrics_(trace_.duration, config.series_bin) {
+      metrics_(trace_.duration, config.series_bin),
+      metrics_stream_(stream) {
   BC_ASSERT_MSG(trace_.validate().empty(), "invalid trace");
   const std::string config_error = config_.validate();
   BC_ASSERT_MSG(config_error.empty(), config_error.c_str());
-  if (!config_.metrics_stream_path.empty()) {
-    const bool ok = metrics_stream_.open(config_.metrics_stream_path,
-                                         obs::Registry::instance());
-    if (!ok) {
-      BC_LOG_TAG(::bc::LogLevel::Warn, "community",
-                 "cannot open metrics stream '%s'; streaming disabled",
-                 config_.metrics_stream_path.c_str());
-    }
-  }
+  BC_ASSERT_MSG(metrics_stream_ == nullptr || metrics_stream_->is_open(),
+                "the metrics stream must be open");
   setup_peers();
   setup_swarms();
   schedule_trace_events();
@@ -214,7 +208,7 @@ void CommunitySimulator::schedule_periodics() {
   }
   // Windowed NDJSON stream pump: one delta line per snapshot interval of
   // sim time (plus the final partial window at finalize).
-  if (metrics_stream_.is_open()) {
+  if (metrics_stream_ != nullptr) {
     engine_.schedule_periodic(kSnapshotInterval, kSnapshotInterval,
                               [this] { pump_metrics_window(); });
   }
@@ -247,7 +241,7 @@ void CommunitySimulator::publish_cache_totals() {
 
 void CommunitySimulator::pump_metrics_window() {
   publish_cache_totals();
-  metrics_stream_.emit_window(obs::Registry::instance(), engine_.now());
+  metrics_stream_->emit_window(obs::Registry::instance(), engine_.now());
 }
 
 void CommunitySimulator::attempt_join(PeerId id, SwarmId swarm_id) {
@@ -429,10 +423,6 @@ void CommunitySimulator::round() {
     peer(l.downloader).total_down += moved;
     round_received_[l.downloader] += moved;
   }
-
-  BC_LOG_TAG(LogLevel::Debug, "community",
-             "round: %zu active links across %zu swarms", links.size(),
-             swarms_.size());
 
   // Phase 4: completions reported during the transfers.
   for (const auto& [sid, who] : pending_completions_) {
@@ -684,12 +674,11 @@ void CommunitySimulator::finalize() {
   }
   // After the final reputation sweep, so its cache activity is included.
   publish_cache_totals();
-  if (metrics_stream_.is_open()) {
+  if (metrics_stream_ != nullptr) {
     // Final partial window: whatever moved since the last periodic pump
     // (including the finalize-time instruments above), so the stream's
     // column sums equal the end-of-run cumulative totals exactly.
-    metrics_stream_.emit_window(obs::Registry::instance(), engine_.now());
-    metrics_stream_.close();
+    metrics_stream_->emit_window(obs::Registry::instance(), engine_.now());
   }
 }
 

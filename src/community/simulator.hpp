@@ -47,7 +47,13 @@ class CommunitySimulator {
   /// with ordinary bidirectional barter flows.
   static constexpr std::size_t kInitialHoldersPerSwarm = 2;
 
-  CommunitySimulator(trace::Trace trace, ScenarioConfig config);
+  /// `stream`, when not null, is an open windowed-metrics stream (see
+  /// obs/stream.hpp) that the run appends to: one window per hour of sim
+  /// time and a final partial one at finalize. The caller opens it before
+  /// building the simulator and closes it after the run, so several runs
+  /// can share one stream.
+  CommunitySimulator(trace::Trace trace, ScenarioConfig config,
+                     obs::MetricsStream* stream = nullptr);
 
   /// Runs the full trace duration and finalizes the metrics.
   void run();
@@ -57,7 +63,6 @@ class CommunitySimulator {
   const ScenarioConfig& config() const { return config_; }
 
   std::size_t num_trace_peers() const { return trace_.peers.size(); }
-  std::size_t num_total_peers() const { return peers_.size(); }
   const PeerBehavior& behavior(PeerId peer) const;
 /// Whether `peer` is one of the swarm's initial holders (seeds the file
   /// permanently while online).
@@ -177,8 +182,8 @@ class CommunitySimulator {
   std::vector<std::unique_ptr<SwarmCtx>> swarms_;
 
   Metrics metrics_;
-  /// Windowed NDJSON export (--metrics-stream); closed at finalize.
-  obs::MetricsStream metrics_stream_;
+  /// Windowed NDJSON export (--metrics-stream); not owned, may be null.
+  obs::MetricsStream* metrics_stream_ = nullptr;
   /// Node cache tallies as of the last publish_cache_totals().
   std::uint64_t published_cache_hits_ = 0;
   std::uint64_t published_cache_misses_ = 0;

@@ -16,20 +16,18 @@ void insert_sorted(std::vector<PeerId>& ids, PeerId peer) {
 
 }  // namespace
 
-NodeIndex FlowGraph::touch(PeerId node) {
-  const NodeIndex slot = index_.intern(node);
-  if (slot >= succ_.size()) {
-    succ_.resize(index_.size());
-    pred_.resize(index_.size());
-  }
-  return slot;
+std::uint32_t FlowGraph::touch(PeerId node) {
+  const auto [row, inserted] =
+      row_of_.try_emplace(node, static_cast<std::uint32_t>(rows_.size()));
+  if (inserted) rows_.push_back(Row{node, {}, {}});
+  return *row;
 }
 
 void FlowGraph::insert_edge(PeerId from, PeerId to, Bytes cap) {
-  const NodeIndex fi = touch(from);
-  const NodeIndex ti = touch(to);
-  insert_sorted(succ_[fi], to);
-  insert_sorted(pred_[ti], from);
+  const std::uint32_t fi = touch(from);
+  const std::uint32_t ti = touch(to);
+  insert_sorted(rows_[fi].successors, to);
+  insert_sorted(rows_[ti].predecessors, from);
   caps_.try_emplace(edge_key(from, to), cap);
   ++gen_;
 }
@@ -66,10 +64,12 @@ bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
   return true;
 }
 
-EdgeView FlowGraph::view(const Lists& side, PeerId node, bool out) const {
-  const NodeIndex slot = index_.find(node);
-  const std::span<const PeerId> ids =
-      slot == kNoNode ? std::span<const PeerId>() : side[slot];
+EdgeView FlowGraph::view(PeerId node, bool out) const {
+  const std::uint32_t* row = row_of_.find(node);
+  std::span<const PeerId> ids;
+  if (row != nullptr) {
+    ids = out ? rows_[*row].successors : rows_[*row].predecessors;
+  }
 #if BC_GRAPH_GENERATION_CHECKS
   // An empty view borrows no storage, so it can never dangle — skip the
   // generation snapshot rather than aborting on a harmless empty().
@@ -77,6 +77,14 @@ EdgeView FlowGraph::view(const Lists& side, PeerId node, bool out) const {
 #else
   return EdgeView(ids, node, out, &caps_);
 #endif
+}
+
+std::vector<PeerId> FlowGraph::nodes() const {
+  std::vector<PeerId> ids;
+  ids.reserve(rows_.size());
+  for (const Row& row : rows_) ids.push_back(row.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 Bytes FlowGraph::out_capacity(PeerId node) const {
@@ -97,19 +105,21 @@ Bytes FlowGraph::in_capacity(PeerId node) const {
 
 Bytes FlowGraph::total_capacity() const {
   Bytes total = 0;
-  for (NodeIndex slot = 0; slot < succ_.size(); ++slot) {
-    const PeerId from = index_.peer(slot);
-    for (PeerId to : succ_[slot]) {
-      total = util::saturating_add(total, caps_.at(edge_key(from, to)));
+  for (const Row& row : rows_) {
+    for (PeerId to : row.successors) {
+      total = util::saturating_add(total, caps_.at(edge_key(row.id, to)));
     }
   }
   return total;
 }
 
 bool FlowGraph::check_invariants() const {
-  if (!index_.check_invariants()) return false;
-  if (succ_.size() != index_.size() || pred_.size() != index_.size()) {
-    return false;
+  // Every row's id maps back to that row and the sizes agree, so the id
+  // table holds exactly the rows' ids.
+  if (row_of_.size() != rows_.size()) return false;
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+    const std::uint32_t* row = row_of_.find(rows_[r].id);
+    if (row == nullptr || *row != r) return false;
   }
   auto sorted = [](const std::vector<PeerId>& ids) {
     return std::adjacent_find(ids.begin(), ids.end(),
@@ -119,23 +129,29 @@ bool FlowGraph::check_invariants() const {
   auto listed = [](const std::vector<PeerId>& ids, PeerId peer) {
     return std::binary_search(ids.begin(), ids.end(), peer);
   };
+  auto find_row = [&](PeerId peer) -> const Row* {
+    const std::uint32_t* r = row_of_.find(peer);
+    return r == nullptr ? nullptr : &rows_[*r];
+  };
   std::size_t successors = 0;
   std::size_t predecessors = 0;
-  for (NodeIndex slot = 0; slot < succ_.size(); ++slot) {
-    const PeerId id = index_.peer(slot);
-    if (!sorted(succ_[slot]) || !sorted(pred_[slot])) return false;
-    for (PeerId to : succ_[slot]) {
-      const NodeIndex ti = index_.find(to);
-      if (ti == kNoNode || ti == slot || !listed(pred_[ti], id)) return false;
-      const Bytes* cap = caps_.find(edge_key(id, to));
+  for (const Row& row : rows_) {
+    if (!sorted(row.successors) || !sorted(row.predecessors)) return false;
+    for (PeerId to : row.successors) {
+      const Row* head = find_row(to);
+      if (head == nullptr || to == row.id ||
+          !listed(head->predecessors, row.id)) {
+        return false;
+      }
+      const Bytes* cap = caps_.find(edge_key(row.id, to));
       if (cap == nullptr || *cap <= 0) return false;
     }
-    for (PeerId from : pred_[slot]) {
-      const NodeIndex fi = index_.find(from);
-      if (fi == kNoNode || !listed(succ_[fi], id)) return false;
+    for (PeerId from : row.predecessors) {
+      const Row* tail = find_row(from);
+      if (tail == nullptr || !listed(tail->successors, row.id)) return false;
     }
-    successors += succ_[slot].size();
-    predecessors += pred_[slot].size();
+    successors += row.successors.size();
+    predecessors += row.predecessors.size();
   }
   // Every listed edge was found in the table above, so equal counts rule
   // out stray table entries: the table holds exactly the listed edges.

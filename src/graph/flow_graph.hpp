@@ -7,18 +7,15 @@
 // sparse and mutated incrementally as transfer records arrive; merging
 // records and answering the two-hop maxflow are the whole client path.
 //
-// Each capacity is stored once, in a flat table keyed by the (from, to)
-// PeerId pair, so checking or raising an existing edge is one probe. The
-// structure sits beside it in a dense-index core: a PeerIndex interns
-// PeerIds to dense NodeIndex slots, and each node keeps two sorted PeerId
-// lists, its successors and its predecessors. The sorted lists make the
-// two-hop flow a sorted-list intersection (see maxflow.cpp) and every
-// public iteration surface deterministically ordered without sorted_view
-// wrappers; the edge views read each capacity from the table.
-//
-// The public API speaks PeerId only. Dense indices are an internal detail
-// of src/graph/ (bc-analyze rule G1 flags leaks); the `index()` accessor
-// exists for the maxflow implementations and tests of this module.
+// Everything is keyed by PeerId. Each capacity is stored once, in a flat
+// table keyed by the (from, to) pair, so checking or raising an existing
+// edge is one probe. Each node keeps two sorted PeerId lists, its
+// successors and its predecessors, in a private row that a flat id -> row
+// table locates in one probe. The sorted lists make the two-hop flow a
+// sorted-list intersection (see maxflow.cpp) and every public iteration
+// surface deterministically ordered; the edge views read each capacity
+// from the table. Rows are appended in first-touch order, which no public
+// call can observe.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/peer_index.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
 #include "util/ids.hpp"
@@ -193,22 +189,22 @@ class FlowGraph {
     return cap == nullptr ? 0 : *cap;
   }
 
-  bool has_node(PeerId node) const { return index_.contains(node); }
-  std::size_t num_nodes() const { return index_.size(); }
+  bool has_node(PeerId node) const { return row_of_.find(node) != nullptr; }
+  std::size_t num_nodes() const { return rows_.size(); }
   std::size_t num_edges() const { return caps_.size(); }
 
   /// Successors of `node` with positive capacity, ascending by PeerId.
   /// Empty view for an unknown node. Invalidated by any edge insert (debug
   /// builds assert on stale access; see EdgeView).
-  EdgeView out_edges(PeerId node) const { return view(succ_, node, true); }
+  EdgeView out_edges(PeerId node) const { return view(node, true); }
   /// Predecessors of `node` (each entry: tail peer and the capacity of the
   /// edge into `node`), ascending by PeerId. Invalidated by any edge insert
   /// (debug builds assert on stale access; see EdgeView).
-  EdgeView in_edges(PeerId node) const { return view(pred_, node, false); }
+  EdgeView in_edges(PeerId node) const { return view(node, false); }
 
   /// All node ids, sorted ascending (deterministic across runs and
   /// standard-library implementations).
-  std::vector<PeerId> nodes() const { return index_.ids_sorted(); }
+  std::vector<PeerId> nodes() const;
 
   /// Sum of capacities of all edges.
   Bytes total_capacity() const;
@@ -221,13 +217,9 @@ class FlowGraph {
 
   /// Internal consistency check (id lists sorted strictly ascending and
   /// mirroring each other, the capacity table holding exactly the listed
-  /// edges with positive capacities, PeerIndex bijection intact). Used by
-  /// tests and BC_DASSERT call sites.
+  /// edges with positive capacities, the id <-> row bijection intact). Used
+  /// by tests and BC_DASSERT call sites.
   bool check_invariants() const;
-
-  /// The interning layer, exposed for the maxflow implementations and the
-  /// tests of this module only (bc-analyze G1 enforces the boundary).
-  const PeerIndex& index() const { return index_; }
 
   /// Structural-mutation counter: bumped by every edge insert, the only
   /// operation that can invalidate an outstanding EdgeView. Maintained in
@@ -237,20 +229,24 @@ class FlowGraph {
   std::uint64_t generation() const { return gen_; }
 
  private:
-  using Lists = std::vector<std::vector<PeerId>>;  // slot -> sorted ids
+  /// One node: its id and its two sorted neighbour-id lists.
+  struct Row {
+    PeerId id;
+    std::vector<PeerId> successors;
+    std::vector<PeerId> predecessors;
+  };
 
-  // Ensures the node exists, returning its slot.
-  NodeIndex touch(PeerId node);
+  // Ensures the node exists, returning its position in rows_.
+  std::uint32_t touch(PeerId node);
 
   // Adds the absent edge (from, to) with capacity `cap` > 0.
   void insert_edge(PeerId from, PeerId to, Bytes cap);
 
-  // The view of `node` in one side (succ_ or pred_); empty when unknown.
-  EdgeView view(const Lists& side, PeerId node, bool out) const;
+  // The successors (`out`) or predecessors of `node`; empty when unknown.
+  EdgeView view(PeerId node, bool out) const;
 
-  PeerIndex index_;
-  Lists succ_;          // slot -> successors
-  Lists pred_;          // slot -> predecessors
+  util::FlatMap<PeerId, std::uint32_t> row_of_;  // id -> position in rows_
+  std::vector<Row> rows_;                        // first-touch order
   CapacityTable caps_;  // (from, to) -> capacity, for every listed edge
   std::uint64_t gen_ = 0;  // see generation()
 };

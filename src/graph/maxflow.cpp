@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -40,15 +39,17 @@ class Residual {
     *delta_.try_emplace(edge_key(v, u), 0).first += amount;
   }
 
-  /// Neighbours reachable from u with positive residual capacity, visited in
-  /// ascending PeerId order: a single merge-scan over the sorted successor
-  /// list (forward residuals) and predecessor list (reverse residuals, which
-  /// exist only toward predecessors in the original graph). The sorted
-  /// lists make the deterministic order free — no collect-and-sort pass. A
-  /// forward edge no augmentation has touched keeps its whole, positive
-  /// capacity, so a capacity is read from the table only under a delta.
+  /// Calls fn(v) for the neighbours v reachable from u with positive
+  /// residual capacity, in ascending PeerId order, until fn returns true;
+  /// returns whether it did. A single merge-scan over the sorted successor
+  /// list (forward residuals) and predecessor list (reverse residuals,
+  /// which exist only toward predecessors in the original graph): the
+  /// sorted lists make the deterministic order free, no collect-and-sort
+  /// pass. A forward edge no augmentation has touched keeps its whole,
+  /// positive capacity, so a capacity is read from the table only under a
+  /// delta. fn may search further: residuals change only between searches.
   template <typename Fn>
-  void for_each_residual_neighbour(PeerId u, Fn&& fn) const {
+  bool any_residual_neighbour(PeerId u, Fn&& fn) const {
     const std::span<const PeerId> out = g_.out_edges(u).peers();
     const std::span<const PeerId> in = g_.in_edges(u).peers();
     std::size_t i = 0;
@@ -65,13 +66,14 @@ class Residual {
         ++j;
       }
       const Bytes* delta = delta_.find(edge_key(u, v));
-      if (delta == nullptr) {
-        if (forward) fn(v);
-        continue;
-      }
-      const Bytes base = forward ? g_.capacity(u, v) : 0;
-      if (util::saturating_add(base, *delta) > 0) fn(v);
+      const bool positive =
+          delta == nullptr
+              ? forward
+              : util::saturating_add(forward ? g_.capacity(u, v) : 0,
+                                     *delta) > 0;
+      if (positive && fn(v)) return true;
     }
+    return false;
   }
 
  private:
@@ -79,59 +81,42 @@ class Residual {
   util::FlatMap<std::uint64_t, Bytes> delta_;  // packed (u, v) -> delta
 };
 
-/// Search scratch reused across queries and augmentation rounds: the
-/// reputation sweep calls the maxflow entry points once per subject, and
-/// none of them pays the allocator per iteration.
-/// Buffers grow to the high-water mark once and are reset with
-/// assign()/clear(); one instance serves the process, which runs on one
-/// thread (DESIGN.md §10). `frontier` holds one candidate list per DFS
-/// depth; it is a deque so growing it mid-recursion never invalidates the
-/// candidate list a shallower frame is iterating.
-struct SearchScratch {
-  std::vector<char> visited;
+/// Depth-first search state for one Ford-Fulkerson call. `visited` maps a
+/// peer to the last augmentation round whose search entered it, so a new
+/// round is one increment of `round` instead of an O(V) reset.
+struct DepthFirst {
+  DepthFirst(const Residual& residual, PeerId target)
+      : res(residual), t(target) {}
+
+  const Residual& res;
+  PeerId t;
+  std::uint64_t round = 0;
+  util::FlatMap<PeerId, std::uint64_t> visited;
   std::vector<PeerId> path;
-  std::vector<PeerId> parent;
-  std::vector<PeerId> queue;  // BFS FIFO: a cursor chases push_backs
-  std::deque<std::vector<PeerId>> frontier;
+
+  /// Searches for an augmenting path of at most `depth_left` edges from u
+  /// (negative: no limit), extending `path` to end at t on success.
+  bool find_path(PeerId u, int depth_left) {
+    if (u == t) return true;
+    if (depth_left == 0) return false;
+    *visited.try_emplace(u, 0).first = round;
+    return res.any_residual_neighbour(u, [&](PeerId v) {
+      const std::uint64_t* seen = visited.find(v);
+      if (seen != nullptr && *seen == round) return false;
+      path.push_back(v);
+      if (find_path(v, depth_left < 0 ? -1 : depth_left - 1)) return true;
+      path.pop_back();
+      return false;
+    });
+  }
 };
 
-SearchScratch& search_scratch() {
-  static SearchScratch scratch;
-  return scratch;
-}
-
-/// Depth-first search for an augmenting path of at most `depth_left` edges.
-/// Fills `path` with the node sequence s..t on success. `visited` is a
-/// dense slot-indexed bitmap (sized to the graph's slot table); `frontier`
-/// is the per-depth candidate scratch and `depth` this frame's level.
-bool dfs_find_path(const FlowGraph& g, const Residual& res, PeerId u, PeerId t,
-                   int depth_left, std::vector<char>& visited,
-                   std::vector<PeerId>& path,
-                   std::deque<std::vector<PeerId>>& frontier,
-                   std::size_t depth) {
-  if (u == t) return true;
-  if (depth_left == 0) return false;
-  visited[g.index().find(u)] = 1;
-  bool found = false;
-  if (frontier.size() <= depth) frontier.emplace_back();
-  // Collect candidates first so recursion does not interleave with the
-  // residual merge-scan; the scan already yields ascending PeerId order.
-  std::vector<PeerId>& candidates = frontier[depth];
-  candidates.clear();
-  res.for_each_residual_neighbour(
-      u, [&](PeerId v) { candidates.push_back(v); });
-  for (PeerId v : candidates) {
-    if (visited[g.index().find(v)] != 0) continue;
-    path.push_back(v);
-    if (dfs_find_path(g, res, v, t, depth_left < 0 ? -1 : depth_left - 1,
-                      visited, path, frontier, depth + 1)) {
-      found = true;
-      break;
-    }
-    path.pop_back();
-  }
-  return found;
-}
+/// A BFS parent entry, stamped with the augmentation round that wrote it:
+/// an entry from an earlier round reads as undiscovered.
+struct Parent {
+  std::uint64_t round = 0;
+  PeerId peer = kInvalidPeer;
+};
 
 }  // namespace
 
@@ -142,18 +127,13 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
   if (s == t || !g.has_node(s) || !g.has_node(t)) return 0;
   Residual res(g);
   Bytes flow = 0;
-  SearchScratch& scratch = search_scratch();
-  std::vector<char>& visited = scratch.visited;
-  std::vector<PeerId>& path = scratch.path;
-  path.reserve(g.index().size() + 1);
+  DepthFirst search(res, t);
   for (;;) {
-    visited.assign(g.index().size(), 0);
-    path.clear();
-    path.push_back(s);
-    if (!dfs_find_path(g, res, s, t, max_path_edges, visited, path,
-                       scratch.frontier, 0)) {
-      break;
-    }
+    ++search.round;
+    search.path.clear();
+    search.path.push_back(s);
+    if (!search.find_path(s, max_path_edges)) break;
+    const std::vector<PeerId>& path = search.path;
     // Bottleneck capacity along the path (line 6 of Algorithm 1).
     Bytes bottleneck = res.residual(path[0], path[1]);
     for (std::size_t i = 1; i + 1 < path.size(); ++i) {
@@ -176,45 +156,36 @@ Bytes max_flow_edmonds_karp(const FlowGraph& g, PeerId s, PeerId t) {
   if (s == t || !g.has_node(s) || !g.has_node(t)) return 0;
   Residual res(g);
   Bytes flow = 0;
-  SearchScratch& scratch = search_scratch();
-  std::vector<PeerId>& parent = scratch.parent;
-  std::vector<PeerId>& queue = scratch.queue;
-  queue.reserve(g.index().size());
-  for (;;) {
-    // BFS for the shortest augmenting path. The parent table is a dense
-    // slot-indexed array: parent[slot(v)] is the BFS predecessor of v, or
-    // kInvalidPeer while v is undiscovered. The FIFO is the reusable
-    // `queue` buffer with a cursor instead of pop_front: same visit order,
-    // no per-round deque churn.
-    parent.assign(g.index().size(), kInvalidPeer);
-    parent[g.index().find(s)] = s;
+  // parent[v] is v's BFS predecessor in the round it carries; the FIFO is
+  // a vector with a cursor instead of pop_front: same visit order.
+  util::FlatMap<PeerId, Parent> parent;
+  std::vector<PeerId> queue;
+  for (std::uint64_t round = 1;; ++round) {
+    *parent.try_emplace(s, Parent{}).first = Parent{round, s};
     queue.clear();
     queue.push_back(s);
     std::size_t cursor = 0;
     bool reached = false;
     while (cursor < queue.size() && !reached) {
       const PeerId u = queue[cursor++];
-      res.for_each_residual_neighbour(u, [&](PeerId v) {
-        if (reached) return;
-        PeerId& p = parent[g.index().find(v)];
-        if (p != kInvalidPeer) return;
-        p = u;
-        if (v == t) {
-          reached = true;
-          return;
-        }
+      reached = res.any_residual_neighbour(u, [&](PeerId v) {
+        Parent& p = *parent.try_emplace(v, Parent{}).first;
+        if (p.round == round) return false;
+        p = Parent{round, u};
+        if (v == t) return true;
         queue.push_back(v);
+        return false;
       });
     }
     if (!reached) break;
     Bytes bottleneck = 0;
-    for (PeerId v = t; v != s; v = parent[g.index().find(v)]) {
-      const Bytes r = res.residual(parent[g.index().find(v)], v);
+    for (PeerId v = t; v != s; v = parent.at(v).peer) {
+      const Bytes r = res.residual(parent.at(v).peer, v);
       bottleneck = bottleneck == 0 ? r : std::min(bottleneck, r);
     }
     BC_ASSERT(bottleneck > 0);
     for (PeerId v = t; v != s;) {
-      const PeerId u = parent[g.index().find(v)];
+      const PeerId u = parent.at(v).peer;
       res.augment(u, v, bottleneck);
       v = u;
     }

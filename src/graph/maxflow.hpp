@@ -9,6 +9,12 @@
 //    maximum length of two" (paper §3.2).
 //  * max_flow_edmonds_karp: BFS (shortest augmenting path) reference
 //    implementation, used to cross-check Ford-Fulkerson in tests.
+//
+//    Both use only FlowGraph's PeerId API and keep no state between calls:
+//    the DFS visited set and the BFS parent table are per-call flat tables
+//    keyed by PeerId, each entry stamped with its augmentation round, so a
+//    new round needs no O(V) reset. Candidates are tried in ascending
+//    PeerId order.
 //  * max_flow_two_hop: closed-form two-hop maxflow. Paths of length <= 2
 //    between distinct s and t are pairwise edge-disjoint, so the maximum is
 //    exactly c(s,t) + sum_v min(c(s,v), c(v,t)). The intersection of the

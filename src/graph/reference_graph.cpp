@@ -7,7 +7,6 @@
 
 #include "util/assert.hpp"
 #include "util/checked.hpp"
-#include "util/sorted_view.hpp"
 
 namespace bc::graph {
 
@@ -68,7 +67,12 @@ const std::unordered_set<PeerId>& ReferenceFlowGraph::in_edges(
 }
 
 std::vector<PeerId> ReferenceFlowGraph::nodes() const {
-  return util::sorted_keys(out_);
+  std::vector<PeerId> ids;
+  ids.reserve(out_.size());
+  // bc-analyze: allow(D1) -- the keys are sorted below before they leave
+  for (const auto& [id, _] : out_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 Bytes ReferenceFlowGraph::out_capacity(PeerId node) const {

@@ -24,6 +24,9 @@
 // The stream owns no timer: whoever owns a sim::Engine pumps emit_window
 // (community::CommunitySimulator schedules it via Engine::schedule_periodic
 // once per hour of sim time, plus one final partial window at finalize).
+// The front end opens the stream once per process and every simulator it
+// builds appends to it, so `seq` counts on across runs while `t` is each
+// run's own sim time.
 #pragma once
 
 #include <cstdint>

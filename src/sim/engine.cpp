@@ -7,17 +7,8 @@
 #include "obs/profile.hpp"
 #include "obs/trace_writer.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace bc::sim {
-
-Engine::Engine() {
-  Logger::instance().set_time_provider([this] { return now_; }, this);
-}
-
-Engine::~Engine() {
-  Logger::instance().clear_time_provider(this);
-}
 
 void Engine::push(Seconds t, EventFn fn, Seconds period) {
   BC_ASSERT_MSG(t >= now_, "cannot schedule events in the past");

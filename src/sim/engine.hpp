@@ -4,7 +4,8 @@
 // world. Every schedule_* call takes the next id, and events at equal
 // timestamps run in id order (the order they were scheduled), which makes
 // runs bit-identical for a given scenario seed. A periodic event keeps its
-// first id for every firing.
+// first id for every firing. An engine's state is all its own: building
+// one writes no process-global state.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +22,9 @@ class Engine {
  public:
   using EventFn = std::function<void()>;
 
-  /// Installs this engine's clock as the logger's sim-time provider for
-  /// the engine's lifetime (the most recently constructed engine wins),
-  /// so BC_LOG lines carry a [t=...] prefix correlating with obs traces.
-  Engine();
-  ~Engine();
+  Engine() = default;
 
-  // Callbacks and the logger provider capture `this`.
+  // Pinned in place: the overlay and scheduled callbacks refer to it.
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   Engine(Engine&&) = delete;

@@ -1,87 +1,24 @@
-// Minimal leveled logging used across the simulator.
-//
-// The simulator is single-threaded; the logger therefore keeps no locks.
-// Benches set the level to Warn so that experiment output stays clean.
-//
-// Structured prefix: every line carries the log level, a component tag, and
-// — when a simulation-time provider is installed (sim::Engine does this for
-// its lifetime) — the current sim time, so log lines correlate with the
-// obs tracer's sim-time timeline:
-//
-//   [t=3600.000] [community] [DEBUG] round: 12 links active
+// The process log level, and nothing else: no code in the tree logs. The
+// benchmark harness (perfbench/src/main.cpp) still raises the level to
+// Error before it runs a workload, so these two names stay until the next
+// benchmark change drops that call.
 #pragma once
-
-#include <cstdio>
-#include <functional>
-#include <string>
-#include <utility>
 
 namespace bc {
 
-enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4 };
+enum class LogLevel { Error };
 
 class Logger {
  public:
-  /// Returns the current simulation time for line prefixes.
-  using TimeFn = std::function<double()>;
-
   static Logger& instance() {
     static Logger logger;
     return logger;
   }
 
-  void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
-  bool enabled(LogLevel level) const { return level >= level_; }
-
-  /// Installs `fn` as the sim-time source for log prefixes. `owner`
-  /// identifies the installer so a later clear by a different (stale)
-  /// owner cannot drop a newer provider.
-  void set_time_provider(TimeFn fn, const void* owner);
-  /// Clears the provider iff `owner` installed the current one.
-  void clear_time_provider(const void* owner);
-  bool has_time_provider() const { return static_cast<bool>(time_fn_); }
-
-  void log(LogLevel level, const std::string& message) {
-    log(level, "bc", message);
-  }
-  void log(LogLevel level, const char* component, const std::string& message);
-
-  /// Renders the prefixed line (exposed for tests; log() prints this).
-  std::string format_line(LogLevel level, const char* component,
-                          const std::string& message) const;
+  void set_level(LogLevel /*level*/) {}
 
  private:
   Logger() = default;
-  LogLevel level_ = LogLevel::Warn;
-  TimeFn time_fn_;
-  const void* time_owner_ = nullptr;
 };
 
-namespace detail {
-
-std::string format_log(const char* fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-}  // namespace detail
-
 }  // namespace bc
-
-// printf-style logging macros; arguments are not evaluated when the level is
-// disabled, which matters in hot simulation loops. BC_LOG_TAG carries an
-// explicit component tag; the bare macros default to the "bc" component.
-#define BC_LOG_TAG(level, component, ...)                           \
-  do {                                                              \
-    if (::bc::Logger::instance().enabled(level)) {                  \
-      ::bc::Logger::instance().log(                                 \
-          level, component, ::bc::detail::format_log(__VA_ARGS__)); \
-    }                                                               \
-  } while (false)
-
-#define BC_LOG(level, ...) BC_LOG_TAG(level, "bc", __VA_ARGS__)
-
-#define BC_TRACE(...) BC_LOG(::bc::LogLevel::Trace, __VA_ARGS__)
-#define BC_DEBUG(...) BC_LOG(::bc::LogLevel::Debug, __VA_ARGS__)
-#define BC_INFO(...) BC_LOG(::bc::LogLevel::Info, __VA_ARGS__)
-#define BC_WARN(...) BC_LOG(::bc::LogLevel::Warn, __VA_ARGS__)
-#define BC_ERROR(...) BC_LOG(::bc::LogLevel::Error, __VA_ARGS__)

@@ -98,22 +98,4 @@ double spearman(std::span<const double> x, std::span<const double> y) {
   return pearson(rx, ry);
 }
 
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  BC_ASSERT(x.size() == y.size());
-  LinearFit fit;
-  const std::size_t n = x.size();
-  if (n < 2) return fit;
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-  }
-  if (sxx <= 0.0) return fit;  // sum of squares: exactly zero, constant x
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  return fit;
-}
-
 }  // namespace bc

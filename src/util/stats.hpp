@@ -46,13 +46,6 @@ double pearson(std::span<const double> x, std::span<const double> y);
 /// Spearman rank correlation (ties resolved by average rank).
 double spearman(std::span<const double> x, std::span<const double> y);
 
-/// Least-squares fit y = a + b*x. Returns {a, b}; b = 0 for degenerate x.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
-
 /// Assigns fractional ranks (1-based, ties averaged) to the sample.
 std::vector<double> ranks(std::span<const double> values);
 

@@ -55,16 +55,5 @@ TEST(SpeedTable, ConvertsToKiB) {
   EXPECT_NE(csv.find("2.0"), std::string::npos);  // 2000 B/s ~ 2.0 KiB/s
 }
 
-TEST(TailSpeedRatio, ComputesFromTailBins) {
-  // Tail of one day: sharers 2000, freeriders 500 -> ratio 0.25.
-  EXPECT_NEAR(tail_speed_ratio(fake_metrics(), kDay), 0.25, 1e-9);
-}
-
-TEST(TailSpeedRatio, ZeroSharersGivesZero) {
-  community::Metrics m(kDay, kHour);
-  m.speed_freeriders.add(23.5 * kHour, 100.0);
-  EXPECT_EQ(tail_speed_ratio(m, kHour), 0.0);
-}
-
 }  // namespace
 }  // namespace bc::analysis

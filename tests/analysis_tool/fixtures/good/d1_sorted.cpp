@@ -1,17 +1,18 @@
-// bc-analyze fixture: the sanctioned ways to iterate unordered containers.
-#include <unordered_map>
+// bc-analyze fixture: the sanctioned way to iterate in a stable order is
+// an ordered container; D1 only flags hash containers.
+#include <map>
+#include <set>
 #include <vector>
 
-#include "util/sorted_view.hpp"
-
-std::unordered_map<int, int> scores;
+std::map<int, int> scores;
+std::set<int> banned;
 
 std::vector<int> export_order() {
   std::vector<int> out;
-  for (const auto& [peer, score] : bc::util::sorted_view(scores)) {
+  for (const auto& [peer, score] : scores) {
     out.push_back(peer);
   }
-  for (int peer : bc::util::sorted_keys(scores)) {
+  for (int peer : banned) {
     out.push_back(peer);
   }
   return out;

@@ -4,18 +4,23 @@
 // grow-only graph has (add_capacity and the max-merge raise_capacity), and
 // every query surface plus all three maxflow variants must agree at every
 // checkpoint. A hub's long lists against short ones, and sums that
-// saturate, check the two-hop walk whichever list it takes. Runs under the
-// asan-ubsan preset in CI.
+// saturate, check the two-hop walk whichever list it takes. The FlowGraphRows
+// cases pin that the graph's private node rows cannot be observed and that
+// the maxflow searches' round stamps stay inside one augmentation round.
+// Runs under the asan-ubsan preset in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "graph/flow_graph.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/reference_graph.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace bc::graph {
@@ -206,6 +211,104 @@ TEST(DifferentialTwoHop, SaturatesNearInt64Max) {
   EXPECT_EQ(max_flow_ford_fulkerson(g.dense, kSubject, kHub), kMax);
   EXPECT_EQ(max_flow_edmonds_karp(g.dense, kHub, kSubject), kMax);
   EXPECT_EQ(max_flow_edmonds_karp(g.dense, kSubject, kHub), kMax);
+}
+
+// Node rows are appended in first-touch order, which no public call may
+// reveal: one edge set, built once with its nodes first touched in
+// ascending and once in descending id order, must answer every query alike.
+TEST(FlowGraphRows, FirstTouchOrderIsUnobservable) {
+  const std::vector<PeerId> ids = {3,   9,   17,   40,    41,
+                                   99,  250, 1000, 65535, 123456};
+  Rng rng(77);
+  std::vector<std::tuple<PeerId, PeerId, Bytes>> edges;
+  for (int i = 0; i < 40; ++i) {
+    const PeerId u = ids[rng.index(ids.size())];
+    const PeerId v = ids[rng.index(ids.size())];
+    if (u != v) edges.emplace_back(u, v, rng.uniform_int(1, 1000));
+  }
+  auto build = [&](bool ascending) {
+    std::vector<PeerId> order = ids;
+    if (!ascending) std::reverse(order.begin(), order.end());
+    FlowGraph g;
+    // A zero amount creates both nodes and no edge, so consecutive pairs
+    // fix the first-touch order before any edge arrives.
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      g.add_capacity(order[i], order[i + 1], 0);
+    }
+    if (ascending) {
+      for (const auto& [u, v, cap] : edges) g.add_capacity(u, v, cap);
+    } else {
+      for (auto e = edges.rbegin(); e != edges.rend(); ++e) {
+        g.add_capacity(std::get<0>(*e), std::get<1>(*e), std::get<2>(*e));
+      }
+    }
+    return g;
+  };
+  const FlowGraph up = build(true);
+  const FlowGraph down = build(false);
+  ASSERT_TRUE(up.check_invariants());
+  ASSERT_TRUE(down.check_invariants());
+  EXPECT_EQ(up.nodes(), down.nodes());
+  EXPECT_EQ(up.num_nodes(), ids.size());
+  EXPECT_EQ(up.num_nodes(), down.num_nodes());
+  EXPECT_EQ(up.num_edges(), down.num_edges());
+  EXPECT_EQ(up.total_capacity(), down.total_capacity());
+  auto listed = [](EdgeView view) {
+    return std::vector<Edge>(view.begin(), view.end());
+  };
+  for (PeerId s : ids) {
+    EXPECT_EQ(listed(up.out_edges(s)), listed(down.out_edges(s))) << s;
+    EXPECT_EQ(listed(up.in_edges(s)), listed(down.in_edges(s))) << s;
+    for (PeerId t : ids) {
+      EXPECT_EQ(max_flow_two_hop(up, s, t), max_flow_two_hop(down, s, t))
+          << "two_hop(" << s << ", " << t << ")";
+      for (int bound : {1, 2, 3, kUnboundedPathLength}) {
+        EXPECT_EQ(max_flow_ford_fulkerson(up, s, t, bound),
+                  max_flow_ford_fulkerson(down, s, t, bound))
+            << "ff(" << s << ", " << t << ", " << bound << ")";
+      }
+      EXPECT_EQ(max_flow_edmonds_karp(up, s, t),
+                max_flow_edmonds_karp(down, s, t))
+          << "edmonds_karp(" << s << ", " << t << ")";
+    }
+  }
+}
+
+// Ford-Fulkerson's visited set and Edmonds-Karp's parent table are keyed by
+// PeerId, each entry stamped with its augmentation round. Queries of
+// several rounds each, alternated between two graphs over the same peers,
+// must all match the oracle: no stamp may outlive its round.
+TEST(FlowGraphRows, RoundStampsStayInTheirRound) {
+  constexpr PeerId kNodes = 10;
+  Rng rng(4242);
+  GraphPair a;
+  GraphPair b;
+  for (GraphPair* g : {&a, &b}) {
+    for (PeerId u = 0; u < kNodes; ++u) {
+      for (PeerId v = 0; v < kNodes; ++v) {
+        if (u != v && rng.uniform_int(0, 9) < 6) {
+          g->add(u, v, rng.uniform_int(1, 100));
+        }
+      }
+    }
+  }
+  obs::Counter& rounds =
+      obs::Registry::instance().counter("maxflow.augmenting_paths");
+  for (PeerId s = 0; s < kNodes; ++s) {
+    for (PeerId t = 0; t < kNodes; ++t) {
+      if (s == t) continue;
+      const std::uint64_t before = rounds.value();
+      EXPECT_EQ(max_flow_ford_fulkerson(a.dense, s, t),
+                ref_max_flow_ford_fulkerson(a.ref, s, t));
+      EXPECT_GE(rounds.value() - before, 2u) << s << " -> " << t;
+      EXPECT_EQ(max_flow_edmonds_karp(b.dense, s, t),
+                ref_max_flow_edmonds_karp(b.ref, s, t));
+      EXPECT_EQ(max_flow_ford_fulkerson(b.dense, s, t, 3),
+                ref_max_flow_ford_fulkerson(b.ref, s, t, 3));
+      EXPECT_EQ(max_flow_edmonds_karp(a.dense, s, t),
+                ref_max_flow_edmonds_karp(a.ref, s, t));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialRandom,

@@ -115,24 +115,6 @@ TEST(Spearman, MonotoneNonlinearIsOne) {
   EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
 }
 
-TEST(LinearFit, RecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 10; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const auto fit = linear_fit(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-}
-
-TEST(LinearFit, DegenerateXGivesZeroSlope) {
-  const std::vector<double> x{2, 2, 2};
-  const std::vector<double> y{1, 2, 3};
-  const auto fit = linear_fit(x, y);
-  EXPECT_EQ(fit.slope, 0.0);
-}
-
 // Property: pearson is symmetric and invariant to affine transforms.
 class PearsonProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
