@@ -60,7 +60,7 @@ Cell run_cell(const std::string& adversary, bartercast::BackendKind backend) {
   cfg.node.backend = backend;
 
   community::CommunitySimulator sim(trace::generate(tcfg), cfg,
-                                    bench::metrics_stream());
+                                    bench::run_context());
   sim.run();
   const auto& m = sim.metrics();
 

@@ -36,7 +36,8 @@ Result run_selection(std::size_t nh, std::size_t nr) {
   cfg.node.selection.nr = nr;
   cfg.reputation_probe_interval = 4.0 * kHour;
 
-  community::CommunitySimulator sim(trace::generate(tcfg), cfg);
+  community::CommunitySimulator sim(trace::generate(tcfg), cfg,
+                                    bench::run_context());
   sim.run();
   double edges = 0.0;
   for (PeerId p = 0; p < sim.num_trace_peers(); ++p) {

@@ -41,7 +41,8 @@ Result run_mode(bartercast::MaxflowMode mode, int max_path_edges) {
   cfg.reputation_probe_interval = 4.0 * kHour;
 
   const bench::Stopwatch watch;
-  community::CommunitySimulator sim(trace::generate(tcfg), cfg);
+  community::CommunitySimulator sim(trace::generate(tcfg), cfg,
+                                    bench::run_context());
   sim.run();
   const double wall = watch.elapsed_s();
   return Result{analysis::contribution_correlation(sim.metrics()),

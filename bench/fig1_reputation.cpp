@@ -24,7 +24,7 @@ int main() {
   community::ScenarioConfig cfg = bench::paper_scenario(33);
   cfg.policy = bartercast::ReputationPolicy::none();
   community::CommunitySimulator sim(trace::generate(bench::paper_trace(33)),
-                                    cfg, bench::metrics_stream());
+                                    cfg, bench::run_context());
   sim.run();
   const auto& m = sim.metrics();
 

@@ -39,7 +39,7 @@ community::Metrics run_policy(const bartercast::ReputationPolicy& policy,
   community::ScenarioConfig cfg = bench::paper_scenario(seed);
   cfg.policy = policy;
   community::CommunitySimulator sim(trace::generate(bench::paper_trace(seed)),
-                                    cfg, bench::metrics_stream());
+                                    cfg, bench::run_context());
   sim.run();
   return sim.metrics();
 }

@@ -35,7 +35,7 @@ Point run_fraction(double fraction, bool lying) {
     cfg.ignorer_fraction = fraction;
   }
   community::CommunitySimulator sim(
-      trace::generate(bench::paper_trace(seed)), cfg, bench::metrics_stream());
+      trace::generate(bench::paper_trace(seed)), cfg, bench::run_context());
   sim.run();
   const auto& m = sim.metrics();
   return {fraction, m.late_class_speed(false) / 1024.0,

@@ -11,8 +11,8 @@
 //                          report at exit
 //   BC_METRICS_OUT=f.json  enable the profiler, dump registry + profile
 //                          JSON to f.json at exit
-//   BC_TRACE_OUT=f.json    enable the sim-time tracer, dump Chrome trace
-//                          JSON (open in chrome://tracing or Perfetto)
+//   BC_TRACE_OUT=f.json    trace every run on the sim clock, dump Chrome
+//                          trace JSON (open in chrome://tracing or Perfetto)
 //   BC_METRICS_STREAM=f.ndjson  stream windowed metric deltas (one NDJSON
 //                          line per sim-hour window) while the run is in
 //                          flight — tail it to watch a paper-scale bench;
@@ -20,6 +20,8 @@
 //                          counting on across runs and `t` restarting
 // so hot-path attribution of a paper-scale run is one env var away. A path
 // that cannot be written stops the bench with exit 1 before it simulates.
+// A bench hands every simulator it builds run_context(): the bench's one
+// stream and tracer, which all its runs append to.
 #pragma once
 
 #include <cstdio>
@@ -44,6 +46,13 @@ inline bool quick_mode() {
   return v != nullptr && std::strcmp(v, "0") != 0;
 }
 
+/// The bench's sim-time tracer; run_context() hands it to every simulator
+/// while BC_TRACE_OUT is set, and the exit-time dump writes it.
+inline bc::obs::Tracer& tracer() {
+  static bc::obs::Tracer bench_tracer;
+  return bench_tracer;
+}
+
 /// Dumps whatever observability outputs the environment requested; runs at
 /// exit so it covers the whole bench without per-bench wiring.
 inline void dump_observability() {
@@ -58,7 +67,7 @@ inline void dump_observability() {
     }
   }
   if (const char* path = std::getenv("BC_TRACE_OUT"); path != nullptr) {
-    if (bc::obs::Tracer::instance().write_file(path)) {
+    if (tracer().write_file(path)) {
       std::fprintf(stderr, "chrome trace written to %s\n", path);
     } else {
       std::fprintf(stderr, "error: could not write %s\n", path);
@@ -87,13 +96,13 @@ inline void init_observability() {
   const bool profile = std::getenv("BC_PROFILE") != nullptr ||
                        std::getenv("BC_METRICS_OUT") != nullptr;
   const bool trace = std::getenv("BC_TRACE_OUT") != nullptr;
-  if (profile || trace) bc::obs::Profiler::instance().set_enabled(true);
-  if (trace) bc::obs::Tracer::instance().set_enabled(true);
   if (profile || trace) {
-    // The handler reads the registry. A function-local static constructed
-    // after std::atexit is destroyed before the handler runs, so build it
-    // first.
+    bc::obs::Profiler::instance().set_enabled(true);
+    // The handler reads the registry and the tracer. A function-local
+    // static constructed after std::atexit is destroyed before the handler
+    // runs, so build them first.
     bc::obs::Registry::instance();
+    tracer();
     std::atexit(dump_observability);
   }
 }
@@ -124,6 +133,15 @@ inline bc::obs::MetricsStream* metrics_stream() {
     std::exit(1);
   }
   return &stream;
+}
+
+/// What every simulator of the bench runs with: the BC_METRICS_STREAM
+/// stream and, while BC_TRACE_OUT is set, the bench's tracer.
+inline bc::community::RunContext run_context() {
+  bc::community::RunContext run;
+  run.stream = metrics_stream();
+  if (std::getenv("BC_TRACE_OUT") != nullptr) run.tracer = &tracer();
+  return run;
 }
 
 inline bc::community::ScenarioConfig paper_scenario(std::uint64_t seed) {

@@ -7,11 +7,14 @@
 //   - Counter::inc() (a plain add)
 //   - LogHistogram::observe() (frexp bucketing + fixed-point sum)
 //   - BC_OBS_SCOPE with the profiler *disabled* (the default for every run)
-//   - the `if (tracer.enabled())` guard with the tracer *disabled*
+//   - the `if (tracer != nullptr)` guard of an untraced run, on a pointer
+//     the compiler cannot prove null: what every trace emit site costs
 //
 // The acceptance bar is on the two disabled paths: they gate every default
 // (un-instrumented-looking) run of the simulator, so their overhead must
 // stay within noise of the baseline — the bar is kDisabledBudgetNs per op.
+// It holds for optimized builds; sanitizer instrumentation inflates the
+// timed scope.
 // Each measurement is the minimum over kRepeats passes, which removes
 // scheduler noise without hiding systematic cost.
 //
@@ -84,9 +87,7 @@ int main() {
 
   auto& registry = obs::Registry::instance();
   auto& profiler = obs::Profiler::instance();
-  auto& tracer = obs::Tracer::instance();
   profiler.set_enabled(false);
-  tracer.set_enabled(false);
 
   const double baseline = ns_per_op([](std::uint64_t) {});
 
@@ -106,9 +107,12 @@ int main() {
     BC_OBS_SCOPE("bench.disabled_scope");
   });
 
+  obs::Tracer* const untraced = nullptr;
   const double tracer_disabled = ns_per_op([&](std::uint64_t x) {
-    if (tracer.enabled()) {
-      tracer.instant("bench.never", "bench", static_cast<double>(x));
+    obs::Tracer* tracer = untraced;
+    asm volatile("" : "+r"(tracer));  // re-read: not provably null
+    if (tracer != nullptr) {
+      tracer->instant("bench.never", "bench", static_cast<double>(x));
     }
   });
 
@@ -122,7 +126,7 @@ int main() {
              fmt3(observe - baseline)});
   t.add_row({"BC_OBS_SCOPE, profiler off", fmt3(profile_disabled),
              fmt3(over_profile)});
-  t.add_row({"tracer guard, tracer off", fmt3(tracer_disabled),
+  t.add_row({"tracer guard, no tracer", fmt3(tracer_disabled),
              fmt3(over_tracer)});
   std::printf("%s", t.to_string().c_str());
   std::printf("\nlog histogram: %zu buckets, ~%zu bytes (independent of the "

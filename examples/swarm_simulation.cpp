@@ -7,7 +7,8 @@
 // Build & run:  ./build/examples/swarm_simulation
 //   --validate      turn on the bc::check invariant audits for the whole
 //                   run (ledger conservation per round, Eq. 1 bounds at
-//                   the end); any violation aborts with a report. Validate
+//                   the end); any violation aborts with a report, so a
+//                   finished run prints "invariant audit: clean". Validate
 //                   builds (-DBARTERCAST_VALIDATE=ON) audit by default.
 //   --metrics-out=F write the obs metrics registry + profiling sites as
 //                   JSON to F at end of run (implies --profile).
@@ -24,6 +25,8 @@
 //                   invariant audit dumps it automatically before aborting.
 //   --profile       enable the scoped wall-time profiler and print the
 //                   per-site report (maxflow/gossip/choker attribution).
+// The program owns its tracer and metrics stream and hands them, with the
+// audit switch, to the simulator in a community::RunContext.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -31,7 +34,6 @@
 
 #include "analysis/experiment.hpp"
 #include "bartercast/backend.hpp"
-#include "check/audit.hpp"
 #include "community/simulator.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -61,7 +63,6 @@ int main(int argc, char** argv) {
     std::fputs(Flags::usage(argv[0], allowed).c_str(), stderr);
     return 1;
   }
-  if (flags->get_bool("validate", false)) check::set_enabled(true);
 
   const std::string metrics_out = flags->get("metrics-out", "");
   const std::string metrics_csv = flags->get("metrics-csv", "");
@@ -89,23 +90,20 @@ int main(int argc, char** argv) {
   }
   const bool profile = flags->get_bool("profile", false) ||
                        !metrics_out.empty() || !trace_out.empty();
-  // Enable before the simulator is constructed: schedule_periodics checks
-  // the tracer flag to decide whether to emit counter-track snapshots.
   if (profile) obs::Profiler::instance().set_enabled(true);
-  if (!trace_out.empty()) {
-    auto& tracer = obs::Tracer::instance();
-    tracer.set_enabled(true);
+  community::RunContext run;
+  run.stream = stream.is_open() ? &stream : nullptr;
+  run.audit = flags->get_bool("validate", false) || check::kValidateBuild;
+  obs::Tracer tracer;
+  if (!trace_out.empty()) run.tracer = &tracer;
+  if (trace_ring > 0) {
+    // Flight recorder: bound memory to the last N events, dump the ring
+    // on demand (SIGUSR1, served at the next hourly counter-track
+    // snapshot of sim time) and when an invariant audit fails, before the
+    // simulator aborts.
+    tracer.set_ring_capacity(static_cast<std::size_t>(trace_ring));
     tracer.set_dump_path(trace_out);
-    if (trace_ring > 0) {
-      // Flight recorder: bound memory to the last N events, dump the ring
-      // on demand (SIGUSR1, served at the next hourly counter-track
-      // snapshot of sim time) and on any invariant-audit failure, before
-      // the default handler aborts.
-      tracer.set_ring_capacity(static_cast<std::size_t>(trace_ring));
-      tracer.arm_signal_dump(SIGUSR1);
-      check::set_failure_observer(
-          [](const std::string&) { obs::Tracer::instance().dump_now(); });
-    }
+    tracer.arm_signal_dump(SIGUSR1);
   }
 
   trace::GeneratorConfig tcfg;
@@ -135,8 +133,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  community::CommunitySimulator sim(trace::generate(tcfg), cfg,
-                                    stream.is_open() ? &stream : nullptr);
+  community::CommunitySimulator sim(trace::generate(tcfg), cfg, run);
   sim.run();
   stream.close();
   const auto& m = sim.metrics();
@@ -195,15 +192,14 @@ int main(int argc, char** argv) {
     std::printf("metrics CSV written to %s\n", metrics_csv.c_str());
   }
   if (!trace_out.empty()) {
-    if (!obs::Tracer::instance().write_file(trace_out)) {
+    if (!tracer.write_file(trace_out)) {
       std::fprintf(stderr, "error: could not write %s\n", trace_out.c_str());
       return 1;
     }
-    std::printf("chrome trace (%zu events", obs::Tracer::instance().size());
-    if (obs::Tracer::instance().dropped_events() > 0) {
+    std::printf("chrome trace (%zu events", tracer.size());
+    if (tracer.dropped_events() > 0) {
       std::printf(", %llu older events evicted by the ring",
-                  static_cast<unsigned long long>(
-                      obs::Tracer::instance().dropped_events()));
+                  static_cast<unsigned long long>(tracer.dropped_events()));
     }
     std::printf(") written to %s\n", trace_out.c_str());
   }
@@ -211,15 +207,7 @@ int main(int argc, char** argv) {
     std::printf("metrics stream (NDJSON) written to %s\n",
                 metrics_stream.c_str());
   }
-
-  if (check::enabled()) {
-    check::Report report;
-    sim.audit(report);
-    std::printf("invariant audit: %s (%llu audit hooks ran)\n",
-                report.ok() ? "clean" : report.to_string().c_str(),
-                static_cast<unsigned long long>(
-                    check::ScopedAudit::audits_run()));
-    if (!report.ok()) return 1;
-  }
+  // run() audited before finalize and would have aborted on a violation.
+  if (run.audit) std::printf("invariant audit: clean\n");
   return 0;
 }

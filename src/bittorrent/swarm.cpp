@@ -13,7 +13,7 @@ Swarm::Swarm(const Torrent& torrent, Rng rng)
 void Swarm::add_leecher(PeerId peer) {
   const auto [it, inserted] = members_.try_emplace(
       peer, Member{Bitfield(torrent_.num_pieces, false),
-                   Bitfield(torrent_.num_pieces), false});
+                   Bitfield(torrent_.num_pieces)});
   BC_ASSERT_MSG(inserted, "peer already in swarm");
   availability_.add_bitfield(it->second.have);
 }
@@ -21,7 +21,7 @@ void Swarm::add_leecher(PeerId peer) {
 void Swarm::add_seeder(PeerId peer) {
   const auto [it, inserted] = members_.try_emplace(
       peer, Member{Bitfield(torrent_.num_pieces, true),
-                   Bitfield(torrent_.num_pieces), true});
+                   Bitfield(torrent_.num_pieces)});
   BC_ASSERT_MSG(inserted, "peer already in swarm");
   availability_.add_bitfield(it->second.have);
 }
@@ -86,13 +86,6 @@ bool Swarm::interested(PeerId downloader, PeerId uploader) const {
   return member(downloader).have.is_interesting(member(uploader).have);
 }
 
-void Swarm::fire_completion(PeerId peer) {
-  auto& m = member(peer);
-  if (m.completed_fired || !m.have.complete()) return;
-  m.completed_fired = true;
-  if (on_complete) on_complete(peer);
-}
-
 Bytes Swarm::transfer(PeerId uploader, PeerId downloader, Bytes budget) {
   BC_ASSERT(budget >= 0);
   BC_ASSERT(uploader != downloader);
@@ -141,7 +134,6 @@ Bytes Swarm::transfer(PeerId uploader, PeerId downloader, Bytes budget) {
             other.piece_progress = 0;
           }
         }
-        fire_completion(downloader);
       }
     }
   }

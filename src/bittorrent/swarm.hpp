@@ -6,10 +6,11 @@
 // currently in flight and the byte counters the tit-for-tat choker ranks
 // on). Choking and bandwidth allocation are decided elsewhere (choker.hpp /
 // bandwidth.hpp, orchestrated by the community simulator); the swarm applies
-// the resulting byte movements and reports piece/file completions.
+// the resulting byte movements. A complete peer takes nothing from
+// transfer(), so the one transfer that moves bytes and leaves its
+// downloader complete is the one that completed the file.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -50,7 +51,7 @@ class Swarm {
   /// Moves up to `budget` bytes from uploader to downloader, assigning
   /// pieces rarest-first as needed. Returns the bytes actually consumed
   /// (less than budget when the downloader completes or nothing useful is
-  /// left). Fires on_complete at most once per peer.
+  /// left; 0 when the downloader is already complete).
   Bytes transfer(PeerId uploader, PeerId downloader, Bytes budget);
 
   /// Releases the in-flight piece of the (uploader, downloader) link, e.g.
@@ -67,9 +68,6 @@ class Swarm {
   /// audit compares this against the BarterCast private histories.
   Bytes total_transferred() const { return total_transferred_; }
 
-  /// Called once when a peer completes the file (gains the last piece).
-  std::function<void(PeerId)> on_complete;
-
   /// Internal consistency: availability matches bitfields; in-flight pieces
   /// are not owned; link endpoints are members.
   bool check_invariants() const;
@@ -78,7 +76,6 @@ class Swarm {
   struct Member {
     Bitfield have;
     Bitfield in_flight;  // pieces being fetched (any link)
-    bool completed_fired = false;
   };
 
   struct Link {
@@ -94,7 +91,6 @@ class Swarm {
 
   Member& member(PeerId peer);
   const Member& member(PeerId peer) const;
-  void fire_completion(PeerId peer);
 
   Torrent torrent_;
   Rng rng_;

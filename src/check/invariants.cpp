@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -40,6 +42,14 @@ std::string Report::to_string() const {
     out += "\n  [" + v.invariant + "] " + v.detail;
   }
   return out;
+}
+
+void abort_on_violations(std::string_view site, const Report& report) {
+  if (report.ok()) return;
+  std::fprintf(stderr, "bc::check audit '%.*s' failed: %s\n",
+               static_cast<int>(site.size()), site.data(),
+               report.to_string().c_str());
+  std::abort();
 }
 
 // --- ledger ----------------------------------------------------------------

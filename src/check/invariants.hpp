@@ -18,7 +18,9 @@
 //     limits and only carry the sender's own, non-negative claims.
 //
 // Validators append to a Report instead of aborting so tests can assert on
-// *which* invariant broke; fail-stop behaviour lives in audit.hpp.
+// *which* invariant broke; abort_on_violations turns a report into a
+// fail-stop. The subsystem holds no state: whether a run audits is the
+// run's own setting (community::RunContext::audit).
 #pragma once
 
 #include <string>
@@ -34,6 +36,14 @@
 #include "util/units.hpp"
 
 namespace bc::check {
+
+/// True when the build was configured with -DBARTERCAST_VALIDATE=ON; the
+/// default of whether a run audits.
+#ifdef BARTERCAST_VALIDATE
+inline constexpr bool kValidateBuild = true;
+#else
+inline constexpr bool kValidateBuild = false;
+#endif
 
 /// One failed invariant: a stable dotted id plus human-readable specifics.
 struct Violation {
@@ -59,6 +69,10 @@ class Report {
  private:
   std::vector<Violation> violations_;
 };
+
+/// Fail-stop, like BC_ASSERT: returns when `report` is clean; otherwise
+/// prints "bc::check audit '<site>' failed: <report>" to stderr and aborts.
+void abort_on_violations(std::string_view site, const Report& report);
 
 // --- ledger (bartercast/history) -----------------------------------------
 

@@ -34,22 +34,4 @@ double Metrics::late_class_speed(bool freeriders) const {
   return time > 0.0 ? bytes / time : 0.0;
 }
 
-double Metrics::tail_speed(const TimeSeries& series, Seconds tail) const {
-  BC_ASSERT(tail > 0.0);
-  const Seconds from = duration - tail;
-  // Sample-weighted: near the end of a run activity thins out, and an
-  // unweighted bin average would let a bin holding two straggler samples
-  // outvote one holding thousands.
-  double sum = 0.0;
-  double weight = 0.0;
-  for (std::size_t i = 0; i < series.num_bins(); ++i) {
-    if (series.bin_center(i) >= from && series.bin_count(i) > 0) {
-      const auto n = static_cast<double>(series.bin_count(i));
-      sum += series.bin_mean(i) * n;
-      weight += n;
-    }
-  }
-  return weight > 0.0 ? sum / weight : 0.0;
-}
-
 }  // namespace bc::community

@@ -68,10 +68,6 @@ struct Metrics {
   std::vector<PeerOutcome> outcomes;
   MessageStats messages;
 
-  /// Mean download speed of a class over the last `tail` seconds of the
-  /// run (used for the endpoint comparisons of Figures 2-3).
-  double tail_speed(const TimeSeries& series, Seconds tail) const;
-
   /// Pooled class download speed over the second half of the run:
   /// sum(bytes) / sum(active download time) across the class. Far more
   /// stable than time-bin means when few peers download concurrently.

@@ -5,11 +5,9 @@
 #include <string>
 
 #include "bittorrent/bandwidth.hpp"
-#include "check/audit.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace_writer.hpp"
 #include "util/assert.hpp"
 #include "util/checked.hpp"
 
@@ -45,20 +43,20 @@ std::vector<bool> connectability(const trace::Trace& trace) {
 }  // namespace
 
 CommunitySimulator::CommunitySimulator(trace::Trace trace,
-                                       ScenarioConfig config,
-                                       obs::MetricsStream* stream)
+                                       ScenarioConfig config, RunContext run)
     : trace_(std::move(trace)),
       config_(config),
+      run_(run),
       rng_(config.seed),
+      engine_(run.tracer),
       overlay_(engine_, Rng(config.seed ^ 0x6f6e6c696e65ULL),
                connectability(trace_)),
       pss_(config.seed ^ 0x70737321ULL, trace_.peers.size()),
-      metrics_(trace_.duration, config.series_bin),
-      metrics_stream_(stream) {
+      metrics_(trace_.duration, config.series_bin) {
   BC_ASSERT_MSG(trace_.validate().empty(), "invalid trace");
   const std::string config_error = config_.validate();
   BC_ASSERT_MSG(config_error.empty(), config_error.c_str());
-  BC_ASSERT_MSG(metrics_stream_ == nullptr || metrics_stream_->is_open(),
+  BC_ASSERT_MSG(run_.stream == nullptr || run_.stream->is_open(),
                 "the metrics stream must be open");
   setup_peers();
   setup_swarms();
@@ -135,10 +133,6 @@ void CommunitySimulator::setup_swarms() {
   for (const auto& file : trace_.files) {
     auto ctx = std::make_unique<SwarmCtx>(
         bt::Swarm(bt::Torrent::from_file(file), rng_.fork()));
-    const SwarmId sid = file.id;
-    ctx->swarm.on_complete = [this, sid](PeerId p) {
-      pending_completions_.emplace_back(sid, p);
-    };
     swarms_.push_back(std::move(ctx));
   }
   // Initial holders: per swarm, a few sharers hold the file from t=0 and
@@ -195,20 +189,17 @@ void CommunitySimulator::schedule_periodics() {
   constexpr Seconds kSnapshotInterval = 1.0 * kHour;
   // Counter tracks for the trace viewer, and the flight recorder's poll
   // point: a SIGUSR1-armed dump request raised since the last snapshot is
-  // served here, at a deterministic safe point. Checked once, at
-  // construction: enabling the tracer mid-run affects instants but not
-  // these snapshots.
-  if (obs::Tracer::instance().enabled()) {
+  // served here, at a deterministic safe point.
+  if (run_.tracer != nullptr) {
     engine_.schedule_periodic(kSnapshotInterval, kSnapshotInterval, [this] {
-      auto& tracer = obs::Tracer::instance();
-      obs::snapshot_counters_to_trace(obs::Registry::instance(), tracer,
+      obs::snapshot_counters_to_trace(obs::Registry::instance(), *run_.tracer,
                                       engine_.now());
-      tracer.poll_signal_dump();
+      run_.tracer->poll_signal_dump();
     });
   }
   // Windowed NDJSON stream pump: one delta line per snapshot interval of
   // sim time (plus the final partial window at finalize).
-  if (metrics_stream_ != nullptr) {
+  if (run_.stream != nullptr) {
     engine_.schedule_periodic(kSnapshotInterval, kSnapshotInterval,
                               [this] { pump_metrics_window(); });
   }
@@ -241,7 +232,7 @@ void CommunitySimulator::publish_cache_totals() {
 
 void CommunitySimulator::pump_metrics_window() {
   publish_cache_totals();
-  metrics_stream_->emit_window(obs::Registry::instance(), engine_.now());
+  run_.stream->emit_window(obs::Registry::instance(), engine_.now());
 }
 
 void CommunitySimulator::attempt_join(PeerId id, SwarmId swarm_id) {
@@ -263,7 +254,7 @@ void CommunitySimulator::attempt_join(PeerId id, SwarmId swarm_id) {
   ctx.swarm.add_leecher(id);
   PeerState& p = peer(id);
   ++p.files_requested;
-  p.downloading.insert(swarm_id);
+  ++p.downloading;
 }
 
 double CommunitySimulator::choker_reputation(PeerId evaluator,
@@ -328,11 +319,11 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
   }
   // One policy-decision event per swarm rescan keeps trace volume linear in
   // rounds, not in peers.
-  if (auto& tracer = obs::Tracer::instance(); tracer.enabled()) {
-    tracer.instant("choke.rescan", "policy", now,
-                   {{"swarm", std::to_string(swarm_id)},
-                    {"online", std::to_string(online.size())},
-                    {"policy", config_.policy.name()}});
+  if (run_.tracer != nullptr) {
+    run_.tracer->instant("choke.rescan", "policy", now,
+                         {{"swarm", std::to_string(swarm_id)},
+                          {"online", std::to_string(online.size())},
+                          {"policy", config_.policy.name()}});
   }
 }
 
@@ -407,8 +398,11 @@ void CommunitySimulator::round() {
   }
 
   // Phase 3: bandwidth allocation across all swarms at once (shared
-  // uplinks), then apply the transfers.
+  // uplinks), then apply the transfers. A complete downloader takes
+  // nothing, so the transfer that moves bytes and leaves its downloader
+  // complete is the one that completed the file.
   const std::vector<Rate> rates = bt::allocate_rates(requests, kAccess);
+  std::vector<std::pair<SwarmId, PeerId>> completions;
   for (std::size_t i = 0; i < links.size(); ++i) {
     const auto budget = static_cast<Bytes>(std::llround(rates[i] * dt));
     if (budget <= 0) continue;
@@ -422,13 +416,13 @@ void CommunitySimulator::round() {
     peer(l.uploader).total_up += moved;
     peer(l.downloader).total_down += moved;
     round_received_[l.downloader] += moved;
+    if (swarms_[l.swarm]->swarm.is_complete(l.downloader)) {
+      completions.emplace_back(l.swarm, l.downloader);
+    }
   }
 
-  // Phase 4: completions reported during the transfers.
-  for (const auto& [sid, who] : pending_completions_) {
-    handle_completion(sid, who);
-  }
-  pending_completions_.clear();
+  // Phase 4: the completions, in transfer order.
+  for (const auto& [sid, who] : completions) handle_completion(sid, who);
 
   // Phase 5: seeding period expiry.
   for (auto& ctx : swarms_) {
@@ -450,7 +444,7 @@ void CommunitySimulator::round() {
   // Phase 7: download-speed probe over actively downloading trace peers.
   for (PeerId p = 0; p < trace_.peers.size(); ++p) {
     PeerState& st = peer(p);
-    if (st.downloading.empty() || !overlay_.online(p)) continue;
+    if (st.downloading == 0 || !overlay_.online(p)) continue;
     Bytes got = 0;
     if (auto it = round_received_.find(p); it != round_received_.end()) {
       got = it->second;
@@ -468,22 +462,12 @@ void CommunitySimulator::round() {
     }
   }
 
-  // Phase 8: per-round conservation audit (validate builds / --validate).
-  // The cheap subset only: the full audit including Eq. 1 bounds runs once
-  // at the end of run().
-  if (check::enabled()) {
+  // Phase 8: the cheap audit subset; the full audit, with the Eq. 1
+  // bounds, runs once at the end of run().
+  if (run_.audit) {
     check::Report report;
-    check::check_engine(engine_, report);
-    std::vector<const bartercast::PrivateHistory*> ledgers;
-    ledgers.reserve(peers_.size());
-    for (const auto& p : peers_) ledgers.push_back(&p.node->history());
-    Bytes ground_truth = 0;
-    for (const auto& ctx : swarms_) {
-      ground_truth =
-          util::saturating_add(ground_truth, ctx->swarm.total_transferred());
-    }
-    check::check_ledger_conservation(ledgers, ground_truth, report);
-    check::report_failure("community.round", report);
+    audit_round(report);
+    enforce("community.round", report);
   }
 }
 
@@ -491,7 +475,7 @@ void CommunitySimulator::handle_completion(SwarmId swarm_id, PeerId id) {
   const Seconds now = engine_.now();
   PeerState& p = peer(id);
   ++p.files_completed;
-  p.downloading.erase(swarm_id);
+  --p.downloading;
   auto& ctx = *swarms_[swarm_id];
   const Seconds seed_for = p.behavior->seed_duration(config_);
   if (seed_for <= 0.0) {
@@ -521,10 +505,10 @@ void CommunitySimulator::gossip_tick(PeerId id) {
   const PeerId partner = pss_.exchange(id, can_talk);
   if (partner == kInvalidPeer) return;
   ++metrics_.messages.gossip_exchanges;
-  if (auto& tracer = obs::Tracer::instance(); tracer.enabled()) {
-    tracer.instant("gossip.exchange", "gossip", engine_.now(),
-                   {{"initiator", std::to_string(id)},
-                    {"partner", std::to_string(partner)}});
+  if (run_.tracer != nullptr) {
+    run_.tracer->instant("gossip.exchange", "gossip", engine_.now(),
+                         {{"initiator", std::to_string(id)},
+                          {"partner", std::to_string(partner)}});
   }
   peer(id).node->on_peer_seen(partner, engine_.now());
   if (peer(id).behavior->sends_messages()) {
@@ -569,10 +553,10 @@ void CommunitySimulator::on_barter_message(
   ++metrics_.messages.messages_received;
   received.inc();
   records_hist.observe(static_cast<double>(msg.records.size()));
-  if (check::enabled()) {
+  if (run_.audit) {
     check::Report report;
     check::check_message(msg, config_.node.selection, report);
-    check::report_failure("community.message", report);
+    enforce("community.message", report);
   }
   PeerState& p = peer(receiver);
   const auto stats = p.node->receive_message(msg);
@@ -674,19 +658,16 @@ void CommunitySimulator::finalize() {
   }
   // After the final reputation sweep, so its cache activity is included.
   publish_cache_totals();
-  if (metrics_stream_ != nullptr) {
+  if (run_.stream != nullptr) {
     // Final partial window: whatever moved since the last periodic pump
     // (including the finalize-time instruments above), so the stream's
     // column sums equal the end-of-run cumulative totals exactly.
-    metrics_stream_->emit_window(obs::Registry::instance(), engine_.now());
+    run_.stream->emit_window(obs::Registry::instance(), engine_.now());
   }
 }
 
-void CommunitySimulator::audit(check::Report& report) const {
-  // Simulator monotonicity.
+void CommunitySimulator::audit_round(check::Report& report) const {
   check::check_engine(engine_, report);
-
-  // Ledger conservation against the transport's ground truth.
   std::vector<const bartercast::PrivateHistory*> ledgers;
   ledgers.reserve(peers_.size());
   for (const auto& p : peers_) ledgers.push_back(&p.node->history());
@@ -694,12 +675,26 @@ void CommunitySimulator::audit(check::Report& report) const {
   for (const auto& ctx : swarms_) {
     ground_truth =
         util::saturating_add(ground_truth, ctx->swarm.total_transferred());
+  }
+  check::check_ledger_conservation(ledgers, ground_truth, report);
+}
+
+void CommunitySimulator::enforce(std::string_view site,
+                                 const check::Report& report) const {
+  if (report.ok()) return;
+  // Last gasp: the flight recorder's window leading up to the failure.
+  if (run_.tracer != nullptr) run_.tracer->dump_now();
+  check::abort_on_violations(site, report);
+}
+
+void CommunitySimulator::audit(check::Report& report) const {
+  audit_round(report);
+  for (const auto& ctx : swarms_) {
     if (!ctx->swarm.check_invariants()) {
       report.fail("swarm.invariants",
                   "piece/availability invariants broken in a swarm");
     }
   }
-  check::check_ledger_conservation(ledgers, ground_truth, report);
 
   // Subjective graphs, Eq. 1 bounds, and outgoing-message shape. Graph
   // structure is cheap and checked for everyone; the maxflow/reputation
@@ -729,13 +724,14 @@ void CommunitySimulator::run() {
   BC_OBS_SCOPE("community.run");
   BC_ASSERT_MSG(!ran_, "run() must be called once");
   ran_ = true;
-  check::ScopedAudit audit_hook(
-      "community.run", [this](check::Report& report) { audit(report); });
   engine_.run_until(trace_.duration);
   // Audit before finalize() writes the stream's last window: the audit's
   // Eq. 1 bound checks run maxflows, and their counts must land in it.
-  audit_hook.check_now();
-  audit_hook.dismiss();
+  if (run_.audit) {
+    check::Report report;
+    audit(report);
+    enforce("community.run", report);
+  }
   finalize();
   BC_DASSERT(std::all_of(swarms_.begin(), swarms_.end(), [](const auto& c) {
     return c->swarm.check_invariants();

@@ -14,10 +14,15 @@
 // Determinism: given (trace, config) the run is bit-identical — every
 // stochastic component forks from the scenario seed and all iteration
 // orders are explicitly sorted.
+//
+// A run's sinks and audit switch are its own (RunContext): the simulator
+// writes no process-wide tracer or audit state, so several runs in one
+// process each trace and audit as their context says.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -32,10 +37,28 @@
 #include "gossip/pss.hpp"
 #include "net/overlay.hpp"
 #include "obs/stream.hpp"
+#include "obs/trace_writer.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
 namespace bc::community {
+
+/// What one run writes to and whether it audits. The simulator owns none
+/// of it: the caller opens the sinks before building the simulator and
+/// closes them after the run, so several runs can share them.
+struct RunContext {
+  /// Open windowed-metrics stream (obs/stream.hpp) the run appends to: one
+  /// window per hour of sim time and a final partial one at finalize.
+  obs::MetricsStream* stream = nullptr;
+  /// Sim-time tracer the run records into: engine dispatches, gossip
+  /// exchanges, choke rescans and hourly counter tracks. An audit failure
+  /// dumps it (Tracer::dump_now) before aborting.
+  obs::Tracer* tracer = nullptr;
+  /// Run the bc::check audits: the per-round subset every round, each
+  /// received message, and audit() once before finalize. A violation
+  /// aborts with its report.
+  bool audit = check::kValidateBuild;
+};
 
 class CommunitySimulator {
  public:
@@ -47,13 +70,8 @@ class CommunitySimulator {
   /// with ordinary bidirectional barter flows.
   static constexpr std::size_t kInitialHoldersPerSwarm = 2;
 
-  /// `stream`, when not null, is an open windowed-metrics stream (see
-  /// obs/stream.hpp) that the run appends to: one window per hour of sim
-  /// time and a final partial one at finalize. The caller opens it before
-  /// building the simulator and closes it after the run, so several runs
-  /// can share one stream.
   CommunitySimulator(trace::Trace trace, ScenarioConfig config,
-                     obs::MetricsStream* stream = nullptr);
+                     RunContext run = {});
 
   /// Runs the full trace duration and finalizes the metrics.
   void run();
@@ -79,8 +97,8 @@ class CommunitySimulator {
   /// ledger conservation against the swarms' ground-truth byte counters,
   /// per-peer subjective graph consistency and Eq. 1 bounds (capped sample),
   /// event-queue monotonicity, and outgoing-message well-formedness.
-  /// Appends violations to `report`. Called automatically while
-  /// bc::check::enabled() (see BARTERCAST_VALIDATE); callable any time.
+  /// Appends violations to `report`. run() calls it when the run audits
+  /// (RunContext::audit); callable any time.
   void audit(check::Report& report) const;
 
  private:
@@ -95,7 +113,7 @@ class CommunitySimulator {
     Bytes late_downloaded = 0;
     Seconds late_time_downloading = 0.0;
     /// Swarms the peer is currently a member of and has not completed.
-    std::unordered_set<SwarmId> downloading;
+    std::size_t downloading = 0;
   };
 
   struct ChokeState {
@@ -144,6 +162,13 @@ class CommunitySimulator {
   void handle_completion(SwarmId swarm_id, PeerId peer);
   void finalize();
 
+  /// The per-round subset of audit(): event-queue monotonicity, and
+  /// ledger conservation against the swarms' ground truth.
+  void audit_round(check::Report& report) const;
+  /// Fail-stop for an audit at `site`: on violations, dumps the tracer's
+  /// flight recorder (if a dump path is set), then aborts with the report.
+  void enforce(std::string_view site, const check::Report& report) const;
+
   /// Adds what the per-node reputation-cache tallies (plain members on
   /// the nanosecond-scale hit path) gained since the last publish to the
   /// registry counters, so the windowed stream sees them move during the
@@ -169,6 +194,7 @@ class CommunitySimulator {
 
   trace::Trace trace_;
   ScenarioConfig config_;
+  RunContext run_;  // sinks not owned, may be null
   Rng rng_;
 
   sim::Engine engine_;
@@ -182,15 +208,10 @@ class CommunitySimulator {
   std::vector<std::unique_ptr<SwarmCtx>> swarms_;
 
   Metrics metrics_;
-  /// Windowed NDJSON export (--metrics-stream); not owned, may be null.
-  obs::MetricsStream* metrics_stream_ = nullptr;
   /// Node cache tallies as of the last publish_cache_totals().
   std::uint64_t published_cache_hits_ = 0;
   std::uint64_t published_cache_misses_ = 0;
   std::unordered_map<std::uint64_t, RepCacheEntry> rep_cache_;
-  /// Completions reported by Swarm::on_complete during the transfer phase,
-  /// processed at a safe point later in the same round.
-  std::vector<std::pair<SwarmId, PeerId>> pending_completions_;
   /// Bytes received per peer in the current round (speed probe input).
   std::unordered_map<PeerId, Bytes> round_received_;
   bool ran_ = false;

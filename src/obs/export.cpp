@@ -85,7 +85,6 @@ std::string profile_report(const Profiler& profiler) {
 
 void snapshot_counters_to_trace(const Registry& registry, Tracer& tracer,
                                 Seconds t) {
-  if (!tracer.enabled()) return;
   for (const auto& [name, value] : registry.snapshot().counters) {
     tracer.counter(name, t, static_cast<double>(value));
   }

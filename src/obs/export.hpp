@@ -37,8 +37,7 @@ std::string metrics_csv(const Registry& registry);
 std::string profile_report(const Profiler& profiler);
 
 /// Emits one 'C' counter event per registry counter at sim time `t`;
-/// repeated calls build per-counter tracks in the trace viewer. No-op
-/// while the tracer is disabled.
+/// repeated calls build per-counter tracks in the trace viewer.
 void snapshot_counters_to_trace(const Registry& registry, Tracer& tracer,
                                 Seconds t);
 

@@ -67,11 +67,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
-}
-
 void Tracer::push(TraceEvent ev) {
   if (ring_capacity_ == 0 || events_.size() < ring_capacity_) {
     events_.push_back(std::move(ev));
@@ -115,7 +110,6 @@ bool Tracer::poll_signal_dump() {
 
 void Tracer::instant(std::string name, std::string category, Seconds t,
                      Args args) {
-  if (!enabled_) return;
   TraceEvent ev;
   ev.name = std::move(name);
   ev.category = std::move(category);
@@ -126,7 +120,6 @@ void Tracer::instant(std::string name, std::string category, Seconds t,
 }
 
 void Tracer::counter(std::string name, Seconds t, double value) {
-  if (!enabled_) return;
   TraceEvent ev;
   ev.name = std::move(name);
   ev.category = "metrics";

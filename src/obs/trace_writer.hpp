@@ -6,12 +6,14 @@
 // simulated clock: engine dispatches, gossip exchanges, choke rescans, and
 // counter tracks of the metrics registry, all on one timeline.
 //
-// The tracer is disabled by default; every emit helper is a no-op until
-// set_enabled(true), so default runs pay one branch per candidate event.
-// Events buffer in memory and are serialized at end of run (write_json /
-// write_file); sims emit at most a few hundred thousand events, well
-// within memory for the scales the tracer is meant for. Serialization is
-// deterministic: integer microsecond timestamps, chronological order.
+// A tracer records every event it is given. A run traces by being handed
+// one (community::RunContext::tracer, sim::Engine's constructor); every
+// emit site tests that pointer, so an untraced run pays one branch per
+// candidate event. Events buffer in memory and are serialized at end of
+// run (write_json / write_file); sims emit at most a few hundred thousand
+// events, well within memory for the scales the tracer is meant for.
+// Serialization is deterministic: integer microsecond timestamps,
+// chronological order.
 //
 // Flight-recorder mode: set_ring_capacity(N) bounds the buffer to the
 // most recent N events — older events are overwritten in place, so a
@@ -20,8 +22,8 @@
 // writes the buffer to the configured dump path; arm_signal_dump()
 // requests one from a signal handler (served at the next
 // poll_signal_dump() call site, since writing files inside a handler is
-// undefined); and check::set_failure_observer can route audit failures
-// into dump_now() before the process aborts.
+// undefined); and the community simulator calls dump_now() when an
+// invariant audit fails, before it aborts.
 //
 // Supported phases: 'i' (instant) and 'C' (counter, plotted as a track).
 // String args are JSON-escaped.
@@ -61,12 +63,6 @@ class Tracer {
 
   Tracer() = default;
 
-  /// The process-wide tracer the instrumentation sites emit into.
-  static Tracer& instance();
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   /// Point event at sim time `t`.
   void instant(std::string name, std::string category, Seconds t,
                Args args = {});
@@ -77,18 +73,13 @@ class Tracer {
   /// Raw buffer, insertion order. Chronological only while unbounded;
   /// with a ring capacity set, use chronological() instead.
   const std::vector<TraceEvent>& events() const { return events_; }
-  void reset() {
-    events_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
 
   /// Flight recorder: bounds the buffer to the most recent `cap` events
   /// (0 restores unbounded buffering). Only valid while the buffer is
   /// empty — configure before the run, not mid-flight.
   void set_ring_capacity(std::size_t cap);
   std::size_t ring_capacity() const { return ring_capacity_; }
-  /// Events overwritten by ring wrap-around since the last reset().
+  /// Events overwritten by ring wrap-around.
   std::uint64_t dropped_events() const { return dropped_; }
   /// Buffered events oldest-to-newest, resolving ring wrap-around.
   std::vector<TraceEvent> chronological() const;
@@ -114,7 +105,6 @@ class Tracer {
  private:
   void push(TraceEvent ev);
 
-  bool enabled_ = false;
   std::vector<TraceEvent> events_;
   std::size_t ring_capacity_ = 0;  // 0 = unbounded
   std::size_t head_ = 0;           // oldest event once the ring wrapped

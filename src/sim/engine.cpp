@@ -52,9 +52,9 @@ bool Engine::step() {
   dispatched.inc();
   Slot& slot = slots_[ev.slot];
   const Seconds period = slot.period;
-  if (auto& tracer = obs::Tracer::instance(); tracer.enabled()) {
-    tracer.instant(period > 0.0 ? "periodic" : "event", "engine", now_,
-                   {{"id", std::to_string(ev.id)}});
+  if (tracer_ != nullptr) {
+    tracer_->instant(period > 0.0 ? "periodic" : "event", "engine", now_,
+                     {{"id", std::to_string(ev.id)}});
   }
   EventFn fn = std::move(slot.fn);
   if (period > 0.0) {

@@ -5,7 +5,8 @@
 // timestamps run in id order (the order they were scheduled), which makes
 // runs bit-identical for a given scenario seed. A periodic event keeps its
 // first id for every firing. An engine's state is all its own: building
-// one writes no process-global state.
+// one writes no process-global state. Given a tracer, it records one
+// instant per dispatch (name "event" or "periodic", arg "id").
 #pragma once
 
 #include <cstdint>
@@ -16,13 +17,19 @@
 
 #include "util/units.hpp"
 
+namespace bc::obs {
+class Tracer;
+}  // namespace bc::obs
+
 namespace bc::sim {
 
 class Engine {
  public:
   using EventFn = std::function<void()>;
 
-  Engine() = default;
+  /// `tracer`, when not null, records every dispatch; the engine does not
+  /// own it.
+  explicit Engine(obs::Tracer* tracer = nullptr) : tracer_(tracer) {}
 
   // Pinned in place: the overlay and scheduled callbacks refer to it.
   Engine(const Engine&) = delete;
@@ -87,6 +94,7 @@ class Engine {
 
   void push(Seconds t, EventFn fn, Seconds period);
 
+  obs::Tracer* tracer_;
   std::uint64_t next_id_ = 1;
   Seconds now_ = 0.0;
   std::uint64_t processed_ = 0;

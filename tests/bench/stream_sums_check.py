@@ -5,7 +5,8 @@ Runs a figure bench in quick mode with BC_METRICS_STREAM and
 BC_METRICS_OUT set. The stream is opened once per process and every run
 appends to it, so `seq` counts 0, 1, 2, ... across runs, and per counter
 the window deltas sum to the end-of-process total in the metrics JSON.
-A stream that each run truncated would hold only the last run's windows.
+A stream that each run truncated would hold only the last run's windows;
+a bench that ignores BC_METRICS_STREAM writes none.
 
 Usage: stream_sums_check.py <path-to-figure-bench>
 """
@@ -33,6 +34,8 @@ def main():
         if proc.returncode != 0:
             sys.exit(f"FAIL: bench exited {proc.returncode}\n"
                      f"{proc.stderr[-400:]}")
+        if not stream.exists():
+            sys.exit("FAIL: no stream written")
         windows = [json.loads(line) for line in
                    stream.read_text(encoding="utf-8").splitlines()]
         counters = json.loads(out.read_text(encoding="utf-8"))["counters"]

@@ -27,8 +27,9 @@ TEST_P(SwarmFuzz, RandomOperationsPreserveInvariants) {
   Rng rng(GetParam());
   Swarm swarm(fuzz_torrent(), rng.fork());
   std::set<PeerId> members;
+  // A complete peer takes nothing, so the transfer that moves bytes and
+  // leaves its downloader complete is the one that completed it.
   std::vector<PeerId> completions;
-  swarm.on_complete = [&](PeerId p) { completions.push_back(p); };
 
   PeerId next_id = 0;
   for (int step = 0; step < 3000; ++step) {
@@ -58,6 +59,7 @@ TEST_P(SwarmFuzz, RandomOperationsPreserveInvariants) {
         const Bytes moved = swarm.transfer(*a, *b, budget);
         EXPECT_LE(moved, budget);
         EXPECT_GE(moved, 0);
+        if (moved > 0 && swarm.is_complete(*b)) completions.push_back(*b);
       }
     } else if (dice < 0.95) {
       // Release a random link.
@@ -89,7 +91,6 @@ TEST_P(SwarmFuzz, PersistentSeederDrivesEveryoneToCompletion) {
   Rng rng(GetParam() ^ 0xf00dULL);
   Swarm swarm(fuzz_torrent(), rng.fork());
   int done = 0;
-  swarm.on_complete = [&](PeerId) { ++done; };
   swarm.add_seeder(0);
   const int leechers = 6;
   for (PeerId p = 1; p <= leechers; ++p) swarm.add_leecher(p);
@@ -100,7 +101,10 @@ TEST_P(SwarmFuzz, PersistentSeederDrivesEveryoneToCompletion) {
     const auto from = static_cast<PeerId>(rng.index(leechers + 1));
     const auto to = static_cast<PeerId>(1 + rng.index(leechers));
     if (from == to) continue;
-    swarm.transfer(from, to, rng.uniform_int(1, 400));
+    if (swarm.transfer(from, to, rng.uniform_int(1, 400)) > 0 &&
+        swarm.is_complete(to)) {
+      ++done;
+    }
     if (rng.chance(0.01)) swarm.end_round();
   }
   EXPECT_EQ(done, leechers);

@@ -1,97 +1,23 @@
-// ScopedAudit behaviour: runtime gating, failure routing, counters.
+// abort_on_violations: the fail-stop every audit site goes through.
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
-#include "check/audit.hpp"
 #include "check/invariants.hpp"
 
 namespace bc::check {
 namespace {
 
-class AuditTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    set_enabled(true);
-    set_failure_handler([this](const std::string& name, const Report& report) {
-      failures_.emplace_back(name, report.size());
-    });
-  }
-
-  void TearDown() override {
-    set_failure_handler(nullptr);
-    set_enabled(kValidateBuild);
-  }
-
-  std::vector<std::pair<std::string, std::size_t>> failures_;
-};
-
-TEST_F(AuditTest, CleanAuditReportsNothing) {
-  const std::uint64_t before = ScopedAudit::audits_run();
-  {
-    ScopedAudit audit("test.clean", [](Report&) {});
-  }
-  EXPECT_EQ(ScopedAudit::audits_run(), before + 1);
-  EXPECT_TRUE(failures_.empty());
+TEST(AbortOnViolations, CleanReportReturns) {
+  const Report clean;
+  abort_on_violations("test.clean", clean);
+  SUCCEED();
 }
 
-TEST_F(AuditTest, ViolationsRouteThroughHandlerAtScopeExit) {
-  const std::uint64_t before = ScopedAudit::violations_found();
-  {
-    ScopedAudit audit("test.broken", [](Report& r) {
-      r.fail("test.invariant", "synthetic violation");
-      r.fail("test.other", "second synthetic violation");
-    });
-  }
-  ASSERT_EQ(failures_.size(), 1u);
-  EXPECT_EQ(failures_[0].first, "test.broken");
-  EXPECT_EQ(failures_[0].second, 2u);
-  EXPECT_EQ(ScopedAudit::violations_found(), before + 2);
-}
-
-TEST_F(AuditTest, CheckNowThenDismissRunsExactlyOnce) {
-  ScopedAudit audit("test.once", [](Report& r) {
-    r.fail("test.invariant", "synthetic violation");
-  });
-  EXPECT_FALSE(audit.check_now());
-  audit.dismiss();
-  // Destructor must not re-run after dismiss(); we observe that through the
-  // handler call count once the scope closes.
-  EXPECT_EQ(failures_.size(), 1u);
-}
-
-TEST_F(AuditTest, DisabledAuditIsSkipped) {
-  set_enabled(false);
-  const std::uint64_t before = ScopedAudit::audits_run();
-  {
-    ScopedAudit audit("test.skipped", [](Report& r) {
-      r.fail("test.invariant", "should never surface");
-    });
-    EXPECT_TRUE(audit.check_now());  // disabled -> vacuously clean
-  }
-  EXPECT_EQ(ScopedAudit::audits_run(), before);
-  EXPECT_TRUE(failures_.empty());
-}
-
-TEST_F(AuditTest, ReportFailureIgnoresCleanReports) {
-  Report clean;
-  report_failure("test.noop", clean);
-  EXPECT_TRUE(failures_.empty());
-
+TEST(AbortOnViolationsDeathTest, ViolationPrintsSiteAndInvariantThenAborts) {
   Report broken;
   broken.fail("test.invariant", "synthetic violation");
-  report_failure("test.direct", broken);
-  ASSERT_EQ(failures_.size(), 1u);
-  EXPECT_EQ(failures_[0].first, "test.direct");
-}
-
-TEST(AuditConfig, RuntimeToggleRoundTrips) {
-  const bool before = enabled();
-  set_enabled(!before);
-  EXPECT_EQ(enabled(), !before);
-  set_enabled(before);
-  EXPECT_EQ(enabled(), before);
+  EXPECT_DEATH(abort_on_violations("test.site", broken),
+               "bc::check audit 'test\\.site' failed:.*\\[test\\.invariant\\] "
+               "synthetic violation");
 }
 
 }  // namespace

@@ -11,29 +11,6 @@ TEST(Metrics, BinCountCoversDuration) {
   EXPECT_EQ(m.duration, 100.0);
 }
 
-TEST(Metrics, TailSpeedAveragesTrailingBins) {
-  Metrics m(100.0, 10.0);
-  // Bins centered at 5, 15, ..., 95. Fill all with distinct values.
-  for (int i = 0; i < 10; ++i) {
-    m.speed_sharers.add(i * 10.0 + 5.0, static_cast<double>(i));
-  }
-  // Tail of 20 s -> bins centered at 85 and 95 -> values 8 and 9.
-  EXPECT_DOUBLE_EQ(m.tail_speed(m.speed_sharers, 20.0), 8.5);
-}
-
-TEST(Metrics, TailSpeedSkipsEmptyBins) {
-  Metrics m(100.0, 10.0);
-  m.speed_freeriders.add(95.0, 4.0);
-  // Last 30 s includes empty bins at 75 and 85; only 95 counts.
-  EXPECT_DOUBLE_EQ(m.tail_speed(m.speed_freeriders, 30.0), 4.0);
-}
-
-TEST(Metrics, TailSpeedEmptyTailIsZero) {
-  Metrics m(100.0, 10.0);
-  m.speed_sharers.add(5.0, 42.0);
-  EXPECT_DOUBLE_EQ(m.tail_speed(m.speed_sharers, 20.0), 0.0);
-}
-
 TEST(PeerOutcome, NetContribution) {
   PeerOutcome o;
   o.total_uploaded = 700;

@@ -240,33 +240,58 @@ TEST(Simulator, CacheCountersSumOverSimulatorsInOneProcess) {
   EXPECT_EQ(misses_counter.value() - misses_before, misses);
 }
 
-// A SIGUSR1-requested flight-recorder dump is served whenever the tracer
-// is on, not only while a metrics stream is open.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// A SIGUSR1-requested flight-recorder dump is served whenever the run has
+// a tracer, not only while a metrics stream is open.
 TEST(Simulator, SignalDumpServedWithoutMetricsStream) {
   const std::string path = ::testing::TempDir() + "bc_sim_signal_dump.json";
   std::remove(path.c_str());
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.reset();
+  obs::Tracer tracer;
   tracer.set_ring_capacity(1000);
-  tracer.set_enabled(true);
   tracer.set_dump_path(path);
   tracer.arm_signal_dump(SIGUSR1);
+  RunContext run;
+  run.tracer = &tracer;
   {
-    CommunitySimulator sim(small_trace(16), small_scenario(16));
+    CommunitySimulator sim(small_trace(16), small_scenario(16), run);
     std::raise(SIGUSR1);
     sim.run();
   }
   std::signal(SIGUSR1, SIG_DFL);
-  tracer.set_enabled(false);
-  tracer.set_dump_path("");
-  tracer.reset();
-  tracer.set_ring_capacity(0);
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "no flight-recorder dump at " << path;
-  std::ostringstream dump;
-  dump << in.rdbuf();
-  EXPECT_EQ(dump.str().rfind("{\"traceEvents\":[{", 0), 0u);
+  ASSERT_TRUE(std::ifstream(path).good())
+      << "no flight-recorder dump at " << path;
+  EXPECT_EQ(read_file(path).rfind("{\"traceEvents\":[{", 0), 0u);
+  std::remove(path.c_str());
+}
+
+// A failed audit inside a run is a fail-stop that names the site and the
+// broken invariant, after dumping the run's flight recorder.
+TEST(SimulatorDeathTest, FailedAuditDumpsTheFlightRecorderAndAborts) {
+  const std::string path = ::testing::TempDir() + "bc_sim_audit_dump.json";
+  std::remove(path.c_str());
+  obs::Tracer tracer;
+  tracer.set_ring_capacity(1000);
+  tracer.set_dump_path(path);
+  RunContext run;
+  run.tracer = &tracer;
+  run.audit = true;
+  CommunitySimulator sim(small_trace(17), small_scenario(17), run);
+  // A one-sided record: peer 0 claims an upload that peer 1 never
+  // received and no swarm moved, so the first round's conservation audit
+  // fails.
+  const_cast<bartercast::Node&>(sim.node(0)).on_bytes_sent(1, mib(1), 0.0);
+  EXPECT_DEATH(sim.run(), "community\\.round.*ledger");
+
+  ASSERT_TRUE(std::ifstream(path).good())
+      << "no flight-recorder dump at " << path;
+  EXPECT_EQ(read_file(path).rfind("{\"traceEvents\":[{", 0), 0u);
   std::remove(path.c_str());
 }
 

@@ -90,7 +90,6 @@ TEST(ObsExport, SnapshotCountersToTraceBuildsTracks) {
   r.counter("msgs").inc(10);
   r.counter("drops").inc(1);
   Tracer t;
-  t.set_enabled(true);
   snapshot_counters_to_trace(r, t, 1.0);
   r.counter("msgs").inc(5);
   snapshot_counters_to_trace(r, t, 2.0);
@@ -104,14 +103,6 @@ TEST(ObsExport, SnapshotCountersToTraceBuildsTracks) {
   EXPECT_EQ(t.events()[3].name, "msgs");
   EXPECT_DOUBLE_EQ(t.events()[3].value, 15.0);
   EXPECT_EQ(t.events()[3].ts_us, 2000000u);
-}
-
-TEST(ObsExport, SnapshotCountersToTraceNoOpWhileDisabled) {
-  Registry r;
-  r.counter("msgs").inc(1);
-  Tracer t;
-  snapshot_counters_to_trace(r, t, 1.0);
-  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(ObsExport, WriteTextFileReportsFailureForBadPath) {

@@ -21,7 +21,6 @@ std::string event_name(int i) {
 TEST(FlightRecorder, RingEvictsOldestInOrder) {
   Tracer t;
   t.set_ring_capacity(4);
-  t.set_enabled(true);
   for (int i = 0; i < 6; ++i) {
     t.instant(event_name(i), "test", static_cast<double>(i));
   }
@@ -38,7 +37,6 @@ TEST(FlightRecorder, RingEvictsOldestInOrder) {
 TEST(FlightRecorder, WriteJsonResolvesWrapAround) {
   Tracer t;
   t.set_ring_capacity(2);
-  t.set_enabled(true);
   t.instant("a", "c", 1.0);
   t.instant("b", "c", 2.0);
   t.instant("c", "c", 3.0);  // evicts "a"; raw buffer is now [c, b]
@@ -54,7 +52,6 @@ TEST(FlightRecorder, WriteJsonResolvesWrapAround) {
 
 TEST(FlightRecorder, UnboundedBufferKeepsEverythingChronological) {
   Tracer t;
-  t.set_enabled(true);
   for (int i = 0; i < 8; ++i) {
     t.instant(event_name(i), "test", static_cast<double>(i));
   }
@@ -66,24 +63,8 @@ TEST(FlightRecorder, UnboundedBufferKeepsEverythingChronological) {
   }
 }
 
-TEST(FlightRecorder, ResetRestoresEmptyRing) {
-  Tracer t;
-  t.set_ring_capacity(2);
-  t.set_enabled(true);
-  t.instant("a", "c", 1.0);
-  t.instant("b", "c", 2.0);
-  t.instant("c", "c", 3.0);
-  t.reset();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped_events(), 0u);
-  t.instant("d", "c", 4.0);
-  ASSERT_EQ(t.chronological().size(), 1u);
-  EXPECT_EQ(t.chronological()[0].name, "d");
-}
-
 TEST(FlightRecorder, DumpNowWritesConfiguredPath) {
   Tracer t;
-  t.set_enabled(true);
   EXPECT_FALSE(t.dump_now());  // no path configured yet
   t.instant("ev", "c", 1.0);
   const std::string path = ::testing::TempDir() + "bc_flight_dump.json";
@@ -103,9 +84,7 @@ TEST(FlightRecorder, DumpNowWritesConfiguredPath) {
 }
 
 TEST(FlightRecorder, SignalDumpIsServedAtPollTime) {
-  Tracer& t = Tracer::instance();
-  t.reset();
-  t.set_enabled(true);
+  Tracer t;
   const std::string path = ::testing::TempDir() + "bc_flight_signal.json";
   t.set_dump_path(path);
   t.instant("before_signal", "c", 1.0);
@@ -128,9 +107,6 @@ TEST(FlightRecorder, SignalDumpIsServedAtPollTime) {
   EXPECT_NE(read_back.find("before_signal"), std::string::npos);
   std::remove(path.c_str());
   std::signal(SIGUSR1, SIG_DFL);
-  t.set_enabled(false);
-  t.set_dump_path("");
-  t.reset();
 }
 
 }  // namespace
