@@ -178,6 +178,27 @@ bool Swarm::check_invariants() const {
       return false;
     }
   }
+  // Each piece sits on exactly the level of its count, so lowest() must be
+  // the lowest count.
+  if (availability_.lowest() !=
+      *std::min_element(counts.begin(), counts.end())) {
+    return false;
+  }
+  const auto levels = static_cast<std::size_t>(availability_.num_levels());
+  const std::size_t words = availability_.level(0).size();
+  std::vector<std::uint64_t> expected(levels * words, 0);
+  for (int p = 0; p < torrent_.num_pieces; ++p) {
+    const auto level =
+        static_cast<std::size_t>(counts[static_cast<std::size_t>(p)]);
+    if (level >= levels) return false;
+    expected[level * words + static_cast<std::size_t>(p) / 64] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(p) % 64);
+  }
+  for (std::size_t c = 0; c < levels; ++c) {
+    const auto level = availability_.level(static_cast<int>(c));
+    const auto want = expected.begin() + static_cast<std::ptrdiff_t>(c * words);
+    if (!std::equal(level.begin(), level.end(), want)) return false;
+  }
   // bc-analyze: allow(D1) -- boolean all-of over links; a pure predicate, order cannot change the result
   for (const auto& [key, link] : links_) {
     const PeerId from = static_cast<PeerId>(key >> 32);

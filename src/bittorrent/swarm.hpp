@@ -68,8 +68,9 @@ class Swarm {
   /// audit compares this against the BarterCast private histories.
   Bytes total_transferred() const { return total_transferred_; }
 
-  /// Internal consistency: availability matches bitfields; in-flight pieces
-  /// are not owned; link endpoints are members.
+  /// Internal consistency: availability matches bitfields, each piece on
+  /// the level of its count; in-flight pieces are not owned; link
+  /// endpoints are members.
   bool check_invariants() const;
 
  private:

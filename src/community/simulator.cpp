@@ -276,18 +276,24 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
   const bool use_reputation =
       config_.policy.kind() != bartercast::PolicyKind::kNone;
 
+  // Each member's pieces, looked up once: the pair loop is O(online^2).
+  std::vector<const bt::Bitfield*> have;
+  have.reserve(online.size());
+  for (PeerId u : online) have.push_back(&ctx.swarm.pieces(u));
   std::vector<bt::UnchokeCandidate> candidates;
   candidates.reserve(online.size());
-  for (PeerId u : online) {
-    const bool u_is_seed = ctx.swarm.is_complete(u);
+  for (std::size_t i = 0; i < online.size(); ++i) {
+    const PeerId u = online[i];
+    const bool u_is_seed = have[i]->complete();
     const bartercast::ReputationPolicy& policy = config_.policy;
     candidates.clear();
-    for (PeerId v : online) {
+    for (std::size_t j = 0; j < online.size(); ++j) {
+      const PeerId v = online[j];
       if (v == u || !overlay_.can_communicate(u, v)) continue;
       bt::UnchokeCandidate c;
       c.peer = v;
-      c.interested =
-          !ctx.swarm.is_complete(v) && ctx.swarm.interested(v, u);
+      // v wants data from u (Swarm::interested(v, u)).
+      c.interested = !have[j]->complete() && have[j]->is_interesting(*have[i]);
       // Tit-for-tat metric: leechers rank by what v sends them; seeders by
       // what they deliver to v (paper §4.1).
       const Bytes moved = u_is_seed ? ctx.swarm.last_round_bytes(u, v)

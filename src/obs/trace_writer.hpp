@@ -78,7 +78,6 @@ class Tracer {
   /// (0 restores unbounded buffering). Only valid while the buffer is
   /// empty — configure before the run, not mid-flight.
   void set_ring_capacity(std::size_t cap);
-  std::size_t ring_capacity() const { return ring_capacity_; }
   /// Events overwritten by ring wrap-around.
   std::uint64_t dropped_events() const { return dropped_; }
   /// Buffered events oldest-to-newest, resolving ring wrap-around.
@@ -86,7 +85,6 @@ class Tracer {
 
   /// Where dump_now() writes; empty disables dumping.
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
-  const std::string& dump_path() const { return dump_path_; }
   /// Writes the current buffer (chronological) to the dump path. False
   /// when no path is configured or the write failed.
   bool dump_now() const;

@@ -7,6 +7,8 @@
 // its authors.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -15,6 +17,40 @@
 #include "util/checked.hpp"  // BC_NO_SANITIZE_INTEGER
 
 namespace bc {
+
+namespace detail {
+
+/// For n = d * 2^s with d odd: `inverse` is d's inverse modulo 2^64 and
+/// `quotient` is floor((2^64 - 1) / n). A 64-bit v is a multiple of n
+/// exactly when rotr(v * inverse, s) <= quotient (Granlund-Montgomery exact
+/// division): the product maps the multiples of n, and only them, onto
+/// 0 .. quotient.
+struct ExactDivisor {
+  std::uint64_t inverse = 0;
+  std::uint64_t quotient = 0;
+};
+
+/// Rng::one_in divides by no n below this. A tie count in bt::pick_piece is
+/// at most the file's piece count, and the trace generator's largest file
+/// has 1,536 pieces.
+inline constexpr std::size_t kExactDivisors = 2048;
+
+constexpr std::array<ExactDivisor, kExactDivisors> exact_divisor_table() {
+  std::array<ExactDivisor, kExactDivisors> table{};
+  for (std::uint64_t n = 1; n < kExactDivisors; ++n) {
+    const std::uint64_t d = n >> std::countr_zero(n);
+    std::uint64_t inverse = d;  // right in 3 bits: d * d == 1 (mod 8)
+    for (int i = 0; i < 5; ++i) inverse *= 2 - d * inverse;  // doubles them
+    table[n] = {inverse, ~std::uint64_t{0} / n};
+  }
+  return table;
+}
+
+/// Entry n serves n; entry 0 is unused. Constant-initialised (32 KB).
+inline constexpr std::array<ExactDivisor, kExactDivisors> kExactDivisorTable =
+    exact_divisor_table();
+
+}  // namespace detail
 
 /// xoshiro256** pseudo-random generator. Satisfies the essentials of
 /// UniformRandomBitGenerator so it can also feed <random> distributions.
@@ -79,19 +115,10 @@ class Rng {
     if (range == 0) {  // full 64-bit range
       return static_cast<std::int64_t>((*this)());
     }
-    // Bounded generation with rejection to avoid modulo bias: draws at or
-    // above limit = max() - max() % range are redrawn. The limit exceeds
-    // max() - range, so only a draw past that needs it computed; the
-    // values and the stream are those of testing every draw.
-    std::uint64_t v = (*this)();
-    if (v > max() - range) {
-      const std::uint64_t limit = max() - max() % range;
-      while (v >= limit) v = (*this)();
-    }
-    // The sum lies in [lo, hi], but v % range passes INT64_MAX for spans
+    // The sum lies in [lo, hi], but below(range) passes INT64_MAX for spans
     // past 2^63, so it is formed in unsigned space (no signed overflow).
     return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                     v % range);
+                                     below(range));
   }
 
   /// Bernoulli draw with probability p of returning true.
@@ -116,8 +143,24 @@ class Rng {
   /// Uniformly selects an index in [0, n). Requires n > 0.
   std::size_t index(std::size_t n) {
     BC_ASSERT(n > 0);
-    return static_cast<std::size_t>(
-        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    return below(n);
+  }
+
+  /// index(n) == 0, from the same draws (the rejection redraws included),
+  /// tested without a division for n below detail::kExactDivisors: the
+  /// reservoir tie-break of bt::pick_piece makes one such draw per tie.
+  BC_NO_SANITIZE_INTEGER bool one_in(std::size_t n) {
+    BC_ASSERT(n > 0);
+    if (n >= detail::kExactDivisors) return below(n) == 0;
+    const detail::ExactDivisor& divisor = detail::kExactDivisorTable[n];
+    // below()'s limit, max() - max() % n, without the division.
+    const std::uint64_t limit = n * divisor.quotient;
+    std::uint64_t v = 0;
+    do {
+      v = (*this)();
+    } while (v >= limit);
+    return std::rotr(v * divisor.inverse, std::countr_zero(n)) <=
+           divisor.quotient;
   }
 
   /// Fisher-Yates shuffle.
@@ -148,6 +191,19 @@ class Rng {
   }
 
  private:
+  /// Uniform integer in [0, range), range > 0. Draws at or above
+  /// limit = max() - max() % range are redrawn, which removes the modulo
+  /// bias. The limit exceeds max() - range, so only a draw past that needs
+  /// it computed; the values and the stream are those of testing every draw.
+  BC_NO_SANITIZE_INTEGER std::uint64_t below(std::uint64_t range) {
+    std::uint64_t v = (*this)();
+    if (v > max() - range) {
+      const std::uint64_t limit = max() - max() % range;
+      while (v >= limit) v = (*this)();
+    }
+    return v % range;
+  }
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <limits>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 namespace bc::bt {
 namespace {
@@ -192,6 +194,144 @@ TEST(PickPieceDifferential, WordScanMatchesPerPieceScan) {
         }
         EXPECT_EQ(fast(), slow()) << "size " << size << " trial " << trial;
       }
+    }
+  }
+}
+
+/// pick_piece and reference_pick from one seed: three picks in a row must
+/// agree, and then the next draw of each generator.
+void expect_same_picks(const Bitfield& mine, const Bitfield& theirs,
+                       const Bitfield& in_flight,
+                       const Availability& availability, int threshold,
+                       std::uint64_t seed) {
+  std::unordered_set<int> in_flight_set;
+  for (int p = 0; p < in_flight.size(); ++p) {
+    if (in_flight.get(p)) in_flight_set.insert(p);
+  }
+  PickRequest req;
+  req.mine = &mine;
+  req.theirs = &theirs;
+  req.availability = &availability;
+  req.in_flight = &in_flight;
+  req.random_first_threshold = threshold;
+  Rng fast(seed);
+  Rng slow(seed);
+  for (int pick = 0; pick < 3; ++pick) {
+    ASSERT_EQ(pick_piece(req, fast),
+              reference_pick(mine, theirs, availability, in_flight_set,
+                             threshold, slow))
+        << "threshold " << threshold << " pick " << pick;
+  }
+  EXPECT_EQ(fast(), slow()) << "threshold " << threshold;
+}
+
+Bitfield random_bitfield(int size, double density, Rng& gen) {
+  Bitfield b(size);
+  for (int p = 0; p < size; ++p) {
+    if (gen.chance(density)) b.set(p);
+  }
+  return b;
+}
+
+TEST(PickPieceDifferential, LevelsBuiltFromBitfields) {
+  // Members join and leave with complete, partial and empty bitfields, so
+  // both the level shift and the per-piece moves run. After every step the
+  // counts and levels must match a per-piece tally, and the picks the
+  // per-piece scan.
+  Rng gen(777);
+  for (int size : {1, 63, 64, 65, 200, 1536}) {
+    SCOPED_TRACE(::testing::Message() << "size " << size);
+    Availability availability(size);
+    std::vector<int> tally(static_cast<std::size_t>(size), 0);
+    std::vector<Bitfield> held;
+    for (int step = 0; step < 60; ++step) {
+      const double dice = gen.uniform();
+      if (dice < 0.25 && !held.empty()) {
+        const std::size_t i = gen.index(held.size());
+        availability.remove_bitfield(held[i]);
+        for (int p = 0; p < size; ++p) {
+          if (held[i].get(p)) --tally[static_cast<std::size_t>(p)];
+        }
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (dice < 0.35) {
+        const auto p =
+            static_cast<int>(gen.index(static_cast<std::size_t>(size)));
+        availability.add_piece(p);
+        ++tally[static_cast<std::size_t>(p)];
+      } else {
+        held.push_back(dice < 0.6 ? Bitfield(size, true)
+                                  : random_bitfield(size, gen.uniform(), gen));
+        availability.add_bitfield(held.back());
+        for (int p = 0; p < size; ++p) {
+          if (held.back().get(p)) ++tally[static_cast<std::size_t>(p)];
+        }
+      }
+      ASSERT_EQ(availability.lowest(),
+                *std::min_element(tally.begin(), tally.end()))
+          << "step " << step;
+      for (int c = 0; c < availability.num_levels(); ++c) {
+        const auto level = availability.level(c);
+        for (int p = 0; p < size; ++p) {
+          const auto bit = static_cast<std::size_t>(p);
+          ASSERT_EQ((level[bit / 64] >> (bit % 64)) & 1,
+                    tally[bit] == c ? 1u : 0u)
+              << "step " << step << " level " << c << " piece " << p;
+        }
+      }
+      for (int p = 0; p < size; ++p) {
+        ASSERT_EQ(availability.count(p), tally[static_cast<std::size_t>(p)])
+            << "step " << step << " piece " << p;
+      }
+      const Bitfield mine = random_bitfield(size, 0.3, gen);
+      const Bitfield theirs = random_bitfield(size, 0.8, gen);
+      const Bitfield in_flight = random_bitfield(size, 0.05, gen);
+      for (int threshold : {0, size + 1}) {
+        expect_same_picks(mine, theirs, in_flight, availability, threshold,
+                          gen());
+      }
+    }
+  }
+}
+
+TEST(PickPieceDifferential, PrefixReplayDraws) {
+  // Many distinct counts put the first rarest candidate late, so the scan
+  // draws before it whenever a candidate ties the lowest count seen so far.
+  // A staircase (each count three times, descending) makes it draw twice
+  // per step; the random counts vary the ties.
+  Rng gen(31337);
+  for (int size : {64, 130, 600}) {
+    SCOPED_TRACE(::testing::Message() << "size " << size);
+    Availability staircase(size);
+    Availability spread(size);
+    for (int p = 0; p < size; ++p) {
+      for (int c = 0; c < (size - 1 - p) / 3; ++c) staircase.add_piece(p);
+      const auto copies = gen.uniform_int(0, 40);
+      for (std::int64_t c = 0; c < copies; ++c) spread.add_piece(p);
+    }
+    const Bitfield none(size);
+    const Bitfield all(size, true);
+    expect_same_picks(none, all, none, staircase, 0, gen());
+    for (int trial = 0; trial < 20; ++trial) {
+      const Bitfield mine = random_bitfield(size, 0.2, gen);
+      const Bitfield in_flight = random_bitfield(size, 0.05, gen);
+      expect_same_picks(mine, all, in_flight, staircase, 0, gen());
+      expect_same_picks(mine, all, in_flight, spread, 0, gen());
+    }
+  }
+}
+
+TEST(PickPieceDifferential, TiesPastTheDivisorTable) {
+  // 5,000 equally rare candidates: tie counts pass the end of Rng::one_in's
+  // divisor table, where it falls back to a division.
+  const int size = 5000;
+  ASSERT_GT(static_cast<std::size_t>(size), detail::kExactDivisors);
+  Rng gen(99);
+  Availability availability(size);
+  const Bitfield none(size);
+  const Bitfield all(size, true);
+  for (int threshold : {0, size + 1}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      expect_same_picks(none, all, none, availability, threshold, gen());
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -150,6 +151,45 @@ TEST(Rng, UniformIntMatchesTheLimitOnEveryDrawFormula) {
           << "range " << range << " draw " << i;
     }
     EXPECT_EQ(fast(), reference()) << "range " << range;
+  }
+}
+
+TEST(Rng, OneInMatchesIndexZero) {
+  // Every n the divisor table serves and some past its end, then spans
+  // past 2^63, where about half the draws are rejected and redrawn.
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  constexpr std::uint64_t kPastTable = detail::kExactDivisors + 64;
+  std::vector<std::uint64_t> ns;
+  for (std::uint64_t n = 1; n <= kPastTable; ++n) ns.push_back(n);
+  for (std::uint64_t n : {kTwo63 + 1, kTwo63 + (kTwo63 >> 1), kMax - 1, kMax}) {
+    ns.push_back(n);
+  }
+  for (std::uint64_t n : ns) {
+    Rng fast(n);
+    Rng reference(n);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(fast.one_in(n), reference.index(n) == 0)
+          << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(fast(), reference()) << "n " << n;
+  }
+}
+
+/// a * b modulo 2^64.
+BC_NO_SANITIZE_INTEGER std::uint64_t wrapping_mul(std::uint64_t a,
+                                                  std::uint64_t b) {
+  return a * b;
+}
+
+TEST(Rng, ExactDivisorTableIsExact) {
+  // A quotient one too high would let one_in pass a single non-multiple of
+  // each n, a draw the streams above almost never make.
+  for (std::uint64_t n = 1; n < detail::kExactDivisors; ++n) {
+    const detail::ExactDivisor& divisor = detail::kExactDivisorTable[n];
+    const std::uint64_t odd = n >> std::countr_zero(n);
+    EXPECT_EQ(wrapping_mul(odd, divisor.inverse), 1u) << "n " << n;
+    EXPECT_EQ(divisor.quotient, Rng::max() / n) << "n " << n;
   }
 }
 
